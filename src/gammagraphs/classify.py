@@ -6,12 +6,43 @@ one-vertex-deleted induced subgraph does (checking only those suffices:
 labellability is hereditary on induced subgraphs).  Searches are bounded, so
 every non-labellable verdict is relative to the budget's k_max, and budget
 exhaustion surfaces as an explicit "undecided" status rather than a verdict.
+
+A run never proves twice what it already knows.  Every status it settles is
+kept by canonical form in one `_DecisionCache`, and two steps read it:
+
+- **Lookup before search.**  Before searching a graph g, `classify` looks up
+  the canonical forms of g's one-vertex deletions.  This is a dict lookup and
+  never starts a search.  If one of them is already recorded unlabellable,
+  so is g (heredity; `SearchBudget` shows the k bounds agree), and g is
+  nonminimal with no search of its own.  A miss falls back to searching g.
+  Inputs are classified in graph6 order, whose first byte is the vertex
+  count, so under `--max-n` every smaller connected graph is recorded first.
+  Looking up the connected deletions is enough to catch every nonminimal g:
+  if a connected g has a proper unlabellable induced subgraph, a minimal one
+  W is connected (a component of a disconnected unlabellable graph is
+  already unlabellable).  Grow a spanning tree of g out from a spanning tree
+  of W; it has a leaf v outside W, so g - v is connected, contains W, and is
+  unlabellable.
+- **Witness search walking down from g.**  The smallest unlabellable subset
+  is found by descending from V(g) one vertex at a time, keeping only the
+  subsets not decided labellable.  A labelling of a set restricts to every
+  subset, so no subset of a labellable set is ever decided unlabellable, and
+  every unlabellable subset is reached through unlabellable supersets.  Each
+  level's subsets are tried once.
+
+Both steps return exactly what deciding every graph, deletion and subset
+afresh would, as long as no search runs out of nodes.  Under a node limit
+that stops searches, one difference remains: a lookup hit settles as
+nonminimal a graph whose own search would have ended "undecided".  The
+verdict is sound, since it rests on a completed search of a deletion.
+
+`--jobs > 1` gives each graph a cache of its own, so its lookups miss and it
+searches every graph as before.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import UnsupportedSizeError
@@ -171,35 +202,87 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
 
 
 class _DecisionCache:
-    """Memoizes labellable/unlabellable decisions by canonical form."""
+    """Labellable/unlabellable/undecided statuses by canonical form.
+
+    A classified graph's own status waits, filed by vertex count, until a
+    lookup reads that count: only then is its canonical form computed.  A
+    run whose inputs all have the same size never needs those forms, and
+    for large symmetric inputs they cost far more than the search (the
+    12-cycle's form takes over 20 s, its labelling a millisecond).
+    """
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
         self.by_form: dict[bytes, str] = {}
+        self.unlabellable_orders: set[int] = set()
+        self._unfiled: dict[int, list[tuple[Graph, str]]] = {}
 
-    def status(self, g: Graph) -> str:
-        form = canonical_form(g)
+    def record(self, g: Graph, status: str) -> None:
+        """Keep a classified graph's settled status."""
+        self._unfiled.setdefault(g.n, []).append((g, status))
+        if status == UNLABELLABLE:
+            self.unlabellable_orders.add(g.n)
+
+    def _file(self, n: int) -> None:
+        for g, status in self._unfiled.pop(n, ()):
+            self.by_form.setdefault(canonical_form(g), status)
+
+    def has_unlabellable_deletion(self, g: Graph) -> bool:
+        """Whether a one-vertex deletion of g is recorded unlabellable: one
+        dict lookup per deletion, never a search.  Skipped, with no canonical
+        forms computed, while no graph on g.n - 1 vertices is recorded
+        unlabellable."""
+        if g.n - 1 not in self.unlabellable_orders:
+            return False
+        self._file(g.n - 1)
+        return any(
+            self.by_form.get(canonical_form(sub)) == UNLABELLABLE for sub in _deletions(g)
+        )
+
+    def status(self, g: Graph, form: bytes | None = None) -> str:
+        """The recorded status of g's class, deciding g on a miss."""
+        self._file(g.n)
+        form = form or canonical_form(g)
         hit = self.by_form.get(form)
         if hit is None:
             hit = decide_labellable(g, self.budget).status
             self.by_form[form] = hit
+            if hit == UNLABELLABLE:
+                self.unlabellable_orders.add(g.n)
         return hit
+
+
+def _deletions(g: Graph) -> list[Graph]:
+    return [induced_subgraph(g, [u for u in range(g.n) if u != v]) for v in range(g.n)]
 
 
 def _smallest_unlabellable_subset(
     g: Graph, cache: _DecisionCache
 ) -> tuple[int, ...] | None:
     """Smallest proper induced subgraph decided unlabellable; among the
-    smallest, ties break by canonical form, then by vertex tuple."""
-    for size in range(1, g.n):
+    smallest, ties break by canonical form, then by vertex tuple.
+
+    Walks down from V(g) one vertex at a time and keeps only subsets not
+    decided labellable (see the module docstring).
+    """
+    best = None
+    level = {(1 << g.n) - 1}
+    while level:
+        below = set()
         hits: list[tuple[bytes, tuple[int, ...]]] = []
-        for subset in itertools.combinations(range(g.n), size):
+        for mask in {m & ~(1 << v) for m in level for v in range(g.n) if (m >> v) & 1}:
+            subset = tuple(v for v in range(g.n) if (mask >> v) & 1)
             sub = induced_subgraph(g, subset)
-            if cache.status(sub) == UNLABELLABLE:
-                hits.append((canonical_form(sub), subset))
+            form = canonical_form(sub)
+            status = cache.status(sub, form)
+            if status == UNLABELLABLE:
+                hits.append((form, subset))
+            if status != LABELLABLE:
+                below.add(mask)
         if hits:
-            return min(hits)[1]
-    return None
+            best = min(hits)[1]
+        level = below
+    return best
 
 
 def is_minimally_unlabellable(
@@ -207,21 +290,26 @@ def is_minimally_unlabellable(
 ) -> Verdict:
     """Refine an unlabellable graph into minimal vs nonminimal by deciding
     all one-vertex-deleted subgraphs; labellable inputs pass straight
-    through and budget exhaustion anywhere yields "undecided"."""
+    through and budget exhaustion anywhere yields "undecided".
+
+    A deletion already recorded unlabellable in the cache settles g as
+    nonminimal without searching g itself.
+    """
     budget = budget or SearchBudget()
-    own = decide_labellable(g, budget)
-    if own.status in (LABELLABLE, UNDECIDED):
-        return own
     cache = _cache if _cache is not None else _DecisionCache(budget)
-    deletion_statuses = []
-    for v in range(g.n):
-        sub = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        deletion_statuses.append(cache.status(sub))
-    if any(s == UNLABELLABLE for s in deletion_statuses):
+    settled = cache.has_unlabellable_deletion(g)
+    own = Verdict(UNLABELLABLE, budget.resolve(g)[0]) if settled else decide_labellable(g, budget)
+    if own.status == UNDECIDED:
+        return own
+    cache.record(g, own.status)
+    if own.status == LABELLABLE:
+        return own
+    deletion_statuses = [UNLABELLABLE] if settled else [cache.status(sub) for sub in _deletions(g)]
+    if UNLABELLABLE in deletion_statuses:
         witness = _smallest_unlabellable_subset(g, cache)
         assert witness is not None
         return Verdict(UNLABELLABLE_NONMINIMAL, own.k_bound, witness=witness)
-    if any(s == UNDECIDED for s in deletion_statuses):
+    if UNDECIDED in deletion_statuses:
         return Verdict(UNDECIDED, own.k_bound)
     return Verdict(MINIMALLY_UNLABELLABLE, own.k_bound)
 

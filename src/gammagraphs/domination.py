@@ -106,6 +106,15 @@ def _covers_of_size(
     return found
 
 
+def _resolve_work_limit(work_limit: int | None) -> int:
+    """None means the default; anything below 1 is an error, not a default."""
+    if work_limit is None:
+        return DEFAULT_WORK_LIMIT
+    if work_limit < 1:
+        raise ValueError("work_limit must be >= 1")
+    return work_limit
+
+
 def _minimum_cover_size(balls: list[int], full: int, n: int, counter: list[int], limit: int) -> int:
     for size in range(1, n + 1):
         if _covers_of_size(balls, full, size, counter, limit, first_only=True):
@@ -117,16 +126,17 @@ def domination_number(g: Graph, d: int, work_limit: int | None = None) -> int:
     """Minimum cardinality of a distance-d dominating set."""
     if g.n == 0:
         raise ValueError("domination number of the empty graph is undefined")
+    limit = _resolve_work_limit(work_limit)
     balls = distance_balls(g, d)
     counter = [0]
-    return _minimum_cover_size(balls, (1 << g.n) - 1, g.n, counter, work_limit or DEFAULT_WORK_LIMIT)
+    return _minimum_cover_size(balls, (1 << g.n) - 1, g.n, counter, limit)
 
 
 def min_dominating_sets(g: Graph, d: int, work_limit: int | None = None) -> DominationResult:
     """The complete family of minimum distance-d dominating sets."""
     if g.n == 0:
         raise ValueError("the empty graph has no dominating sets")
-    limit = work_limit or DEFAULT_WORK_LIMIT
+    limit = _resolve_work_limit(work_limit)
     balls = distance_balls(g, d)
     full = (1 << g.n) - 1
     counter = [0]

@@ -47,6 +47,25 @@ class SearchBudget:
 
     k_max=None resolves to max(2, vertex count); node_limit counts candidate
     labels tested across the whole search.
+
+    Both k bounds make "absent" hereditary, which is what lets
+    classification conclude that a graph is unlabellable from one of its
+    induced subgraphs without searching the graph itself:
+
+    - With an explicit k_max = K, a labelling of a graph with k <= K
+      restricts to a labelling of any induced subgraph with the same k.
+    - With the default, a search of a connected graph on n vertices is
+      complete for every k, by this lemma: a connected graph on n >= 2
+      vertices that has any labelling has one with k <= n - 1.  Proof: place
+      the vertices in breadth-first order.  Each vertex after the first is
+      adjacent to an earlier one, so its label is an earlier label with one
+      symbol swapped, and the labels use at most k + n - 1 symbols in all;
+      call that set U.  Replace every label L by U - L.  The new labels are
+      distinct, have size |U| - k <= n - 1 (and >= 1, as two distinct labels
+      cover more than k symbols), and |(U-A) & (U-B)| = |U| - 2k + |A & B|,
+      so two of them meet in one symbol less than their size exactly when
+      the originals did: adjacency is kept.  Since max(2, n) >= n - 1, the
+      default never cuts a connected search short.
     """
 
     k_max: int | None = None

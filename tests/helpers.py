@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from gammagraphs import Graph, all_pairs_distances
-from gammagraphs.labelling import Labelling, middle_label_candidates
+from gammagraphs import Graph, all_pairs_distances, canonical_form, induced_subgraph, write_graph6
+from gammagraphs.classify import decide_labellable
+from gammagraphs.labelling import Labelling, labelling_to_json, middle_label_candidates
 
 
 def powerset_min_dominating(g: Graph, d: int) -> tuple[int, set[frozenset[int]]]:
@@ -41,7 +42,12 @@ def powerset_min_dominating(g: Graph, d: int) -> tuple[int, set[frozenset[int]]]
 
 def oracle_labelling_exists(g: Graph, k: int) -> bool:
     """Brute-force: try every assignment of k-subsets of a (k+n-1)-symbol
-    universe, filtering partial assignments pairwise."""
+    universe, filtering partial assignments pairwise.
+
+    Vertex 0 gets {1..k} only: a permutation of the universe carries any
+    assignment inside it to one that gives vertex 0 that label and is valid
+    iff the original is, so the answer is unchanged.
+    """
     labels = [frozenset(c) for c in itertools.combinations(range(1, k + g.n), k)]
     assign: list[frozenset[int] | None] = [None] * g.n
 
@@ -61,7 +67,7 @@ def oracle_labelling_exists(g: Graph, k: int) -> bool:
     def rec(i: int) -> bool:
         if i == g.n:
             return True
-        for cand in labels:
+        for cand in labels if i else labels[:1]:
             if consistent(i, cand):
                 assign[i] = cand
                 if rec(i + 1):
@@ -77,6 +83,55 @@ def oracle_minimum_k(g: Graph, k_limit: int) -> int | None:
         if oracle_labelling_exists(g, k):
             return k
     return None
+
+
+def reference_classification(graphs, budget) -> dict:
+    """The classification JSON document, built with no shared cache and no
+    short-circuit: decide_labellable runs on every graph, on every
+    one-vertex deletion of an unlabellable one, and on every proper subset
+    of a nonminimal one, smallest first."""
+
+    def status(g: Graph) -> str:
+        return decide_labellable(g, budget).status
+
+    by_word = {write_graph6(g): g for g in graphs}
+    verdicts = {}
+    counts = dict.fromkeys(
+        ["labellable", "minimally_unlabellable", "unlabellable_nonminimal", "undecided"], 0
+    )
+    for word in sorted(by_word):
+        g = by_word[word]
+        own = decide_labellable(g, budget)
+        doc: dict = {"status": own.status, "k_bound": own.k_bound}
+        if own.status == "labellable":
+            doc["labelling"] = labelling_to_json(g, own.labelling)
+        elif own.status == "unlabellable":
+            deletions = {status(induced_subgraph(g, set(range(g.n)) - {v})) for v in range(g.n)}
+            if "unlabellable" in deletions:
+                for size in range(1, g.n):
+                    hits = [
+                        canonical_form(sub)
+                        for subset in itertools.combinations(range(g.n), size)
+                        if status(sub := induced_subgraph(g, subset)) == "unlabellable"
+                    ]
+                    if hits:
+                        break
+                doc["status"] = "unlabellable_nonminimal"
+                doc["witness_graph6"] = min(hits).decode("ascii")
+            elif "undecided" in deletions:
+                doc["status"] = "undecided"
+            else:
+                doc["status"] = "minimally_unlabellable"
+        verdicts[word] = doc
+        counts[doc["status"]] += 1
+    n_values = sorted({g.n for g in by_word.values()})
+    params = {
+        "k_max": budget.k_max,
+        "node_limit": budget.node_limit,
+        "n_values": n_values,
+        "exploratory_n": [n for n in n_values if n >= 7],
+    }
+    return {"params": params, "verdicts": verdicts, "counts": counts}
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -33,7 +34,7 @@ from gammagraphs.fixtures import (
     minimal_unlabellable_six,
 )
 
-from helpers import all_graphs_on
+from helpers import all_graphs_on, reference_classification
 
 BUDGET = SearchBudget(k_max=6)
 
@@ -246,3 +247,78 @@ class TestClassify:
         assert doc["params"]["exploratory_n"] == []
         summary = report_summary(report)
         assert "labellable" in summary and " 5 " in summary
+
+
+class TestShortCircuit:
+    """classify looks deletions up instead of searching again; these tests
+    hold it to a classifier that decides everything afresh."""
+
+    # every connected graph on at most six vertices, plus every 40th on seven:
+    # most nonminimal seven-vertex graphs have five-vertex witnesses, so the
+    # witness search must walk past the unlabellable six-vertex deletions
+    GRAPHS = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    GRAPHS += enumerate_connected_graphs(7)[::40]
+
+    @pytest.mark.parametrize(
+        "budget",
+        [SearchBudget(), SearchBudget(k_max=2), SearchBudget(k_max=3), SearchBudget(node_limit=40)],
+        ids=["default", "k2", "k3", "nodes40"],
+    )
+    def test_matches_cache_free_reference(self, budget):
+        assert report_to_json(classify(self.GRAPHS, budget)) == reference_classification(
+            self.GRAPHS, budget
+        )
+
+    @pytest.mark.parametrize(
+        "budget",
+        [SearchBudget(node_limit=480), SearchBudget(k_max=3, node_limit=200)],
+        ids=["nodes480", "k3-nodes200"],
+    )
+    def test_node_limit_only_settles_undecided(self, budget):
+        # when the node limit stops a graph's own search, a deletion already
+        # settled unlabellable still settles the graph
+        got = report_to_json(classify(self.GRAPHS, budget))["verdicts"]
+        ref = reference_classification(self.GRAPHS, budget)["verdicts"]
+        settled = [w for w in ref if got[w] != ref[w]]
+        assert settled
+        for word in settled:
+            assert ref[word]["status"] == UNDECIDED
+            assert got[word]["status"] == UNLABELLABLE_NONMINIMAL
+            assert got[word]["k_bound"] == ref[word]["k_bound"]
+            witness = parse_graph6(got[word]["witness_graph6"])
+            assert decide_labellable(witness, budget).status == UNLABELLABLE
+
+    def test_labellable_inputs_of_one_size_compute_no_canonical_form(self, monkeypatch):
+        # a 12-cycle's canonical form takes far longer than its labelling, and
+        # nothing in a run of same-size labellable inputs would read it
+        module = importlib.import_module("gammagraphs.classify")
+
+        def forbidden(g):
+            raise AssertionError(f"canonical form computed on {g.n} vertices")
+
+        monkeypatch.setattr(module, "canonical_form", forbidden)
+        report = classify([make_family("cycle", 12), make_family("prism", 6)], BUDGET)
+        assert report.counts[LABELLABLE] == 2
+
+    def test_cached_deletion_skips_own_search(self, monkeypatch):
+        fan = make_family("fan", 2, 4)
+        y_graph = minimal_unlabellable_five()[2]
+        searched = []
+        # the package re-exports the classify function under the module's name
+        module = importlib.import_module("gammagraphs.classify")
+        real = module.decide_labellable
+
+        def spy(g, budget=None):
+            searched.append(g)
+            return real(g, budget)
+
+        monkeypatch.setattr(module, "decide_labellable", spy)
+        report = classify([fan, y_graph], BUDGET)
+        verdict = report.verdicts[write_graph6(fan)]
+        assert verdict.status == UNLABELLABLE_NONMINIMAL
+        assert are_isomorphic(induced_subgraph(fan, verdict.witness), y_graph)
+        assert not any(are_isomorphic(g, fan) for g in searched)
+        # without the cached deletion, the fan is searched itself
+        searched.clear()
+        assert is_minimally_unlabellable(fan, BUDGET).witness == verdict.witness
+        assert any(are_isomorphic(g, fan) for g in searched)

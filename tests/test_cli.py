@@ -32,6 +32,13 @@ class TestGamma:
         code, docs = _run_json(capsys, ["gamma", "--d", "1", "--in", str(path)])
         assert code == 0 and [d["gamma"] for d in docs] == [1, 1]
 
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_node_limit_below_one_is_usage_error(self, capsys, limit):
+        code = run(["gamma", "--d", "1", "--graph6", "FhNGW", "--node-limit", limit])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "work_limit" in captured.err
+
 
 class TestGammaGraph:
     def test_demo_graph(self, capsys):

@@ -131,6 +131,15 @@ def test_work_limit_reported():
     assert exc.value.examined > 5
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_work_limit_below_one_rejected(limit):
+    g = domination_demo_graph()
+    with pytest.raises(ValueError, match="work_limit"):
+        min_dominating_sets(g, 1, work_limit=limit)
+    with pytest.raises(ValueError, match="work_limit"):
+        domination_number(g, 1, work_limit=limit)
+
+
 def test_json_rendering_sorted_by_name():
     g = domination_demo_graph()
     doc = result_to_json(g, min_dominating_sets(g, 1))

@@ -144,6 +144,19 @@ class TestSearch:
             assert not oracle_labelling_exists(g, 4)
             assert find_labelling(g, SearchBudget(k_max=4)).status == "absent_up_to_k"
 
+    def test_connected_labellable_graphs_need_k_at_most_n_minus_one(self):
+        # the lemma in SearchBudget's docstring, on every connected graph
+        # with 2..5 vertices
+        from helpers import oracle_labelling_exists
+
+        for n in range(2, 6):
+            for g in enumerate_connected_graphs(n):
+                out = find_labelling(g, SearchBudget(k_max=n + 1))
+                assert out.status in ("found", "absent_up_to_k")
+                if out.status == "found":
+                    assert out.k <= n - 1
+                assert oracle_labelling_exists(g, n - 1) == (out.status == "found")
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(k_max=0)
