@@ -41,7 +41,6 @@ from .labelling import (
 from .classify import (
     ClassificationReport,
     Verdict,
-    classify,
     decide_labellable,
     enumerate_connected_graphs,
     is_minimally_unlabellable,

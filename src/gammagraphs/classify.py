@@ -35,9 +35,6 @@ afresh would, as long as no search runs out of nodes.  Under a node limit
 that stops searches, one difference remains: a lookup hit settles as
 nonminimal a graph whose own search would have ended "undecided".  The
 verdict is sound, since it rests on a completed search of a deletion.
-
-`--jobs > 1` gives each graph a cache of its own, so its lookups miss and it
-searches every graph as before.
 """
 
 from __future__ import annotations
@@ -314,34 +311,14 @@ def is_minimally_unlabellable(
     return Verdict(MINIMALLY_UNLABELLABLE, own.k_bound)
 
 
-def _classify_one(args: tuple[str, SearchBudget]) -> tuple[str, Verdict]:
-    word, budget = args
-    g = parse_graph6(word)
-    return word, is_minimally_unlabellable(g, budget)
-
-
-def classify(
-    graphs, budget: SearchBudget | None = None, jobs: int = 1
-) -> ClassificationReport:
+def classify(graphs, budget: SearchBudget | None = None) -> ClassificationReport:
     """Give every graph a final verdict.  Budget exhaustion is recorded per
     graph as "undecided"; the batch never aborts.  Results are keyed and
-    ordered by graph6 word, independent of scheduling."""
+    ordered by graph6 word."""
     budget = budget or SearchBudget()
     items = sorted({write_graph6(g): g for g in graphs}.items())
-    verdicts: dict[str, Verdict] = {}
-    if jobs > 1 and len(items) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for word, verdict in pool.map(
-                _classify_one, [(w, budget) for w, _ in items], chunksize=8
-            ):
-                verdicts[word] = verdict
-        verdicts = {w: verdicts[w] for w, _ in items}
-    else:
-        cache = _DecisionCache(budget)
-        for word, g in items:
-            verdicts[word] = is_minimally_unlabellable(g, budget, _cache=cache)
+    cache = _DecisionCache(budget)
+    verdicts = {word: is_minimally_unlabellable(g, budget, _cache=cache) for word, g in items}
     counts = {LABELLABLE: 0, MINIMALLY_UNLABELLABLE: 0, UNLABELLABLE_NONMINIMAL: 0, UNDECIDED: 0}
     for v in verdicts.values():
         counts[v.status] += 1

@@ -19,7 +19,7 @@ from .errors import UnsupportedSizeError, WorkLimitExceeded
 from .fixtures import run_fixture_checks
 from .gammagraph import build_gamma_graph, gamma_graph_to_json
 from .graphs import make_family, parse_graph6, read_graph6_lines, write_graph6
-from .labelling import SearchBudget, find_labelling, outcome_to_json
+from .labelling import DEFAULT_NODE_LIMIT, SearchBudget, find_labelling, outcome_to_json
 from .realizer import realize, realized_to_json, verify_realization
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="search for a valid vertex labelling")
     _add_graph_source(p)
     p.add_argument("--k-max", type=int, default=None, help="largest label size tried (default: max(2, n))")
-    p.add_argument("--node-limit", type=int, default=10**8)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--out")
 
     p = sub.add_parser("classify", help="labellability classification of a graph batch")
@@ -118,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--max-n", type=int, help="classify all connected graphs with 1..N vertices")
     src.add_argument("--in", dest="infile", help="file of graph6 words")
     p.add_argument("--k-max", type=int, default=None, help="largest label size tried (default: max(2, n))")
-    p.add_argument("--node-limit", type=int, default=10**8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--out")
 
     p = sub.add_parser("family", help="construct a named graph family member")
@@ -192,7 +191,7 @@ def _run_classify(args) -> int:
             graphs.extend(enumerate_connected_graphs(n))
     else:
         graphs = _input_graphs(args)
-    report = classify(graphs, _budget(args), jobs=args.jobs)
+    report = classify(graphs, _budget(args))
     _emit(report_to_json(report), args.out)
     print(report_summary(report), file=sys.stderr)
     return EXIT_OK

@@ -1,10 +1,11 @@
 """Exact distance-d domination: predicates, the domination number, and the
 complete family of minimum distance-d dominating sets.
 
-The enumeration iterates subset sizes upward and, within a size, scans
-subsets in lexicographic order over vertex indices, so the first feasible
-size yields every minimum set.  Closed d-balls are precomputed as bitmasks,
-turning the cover test into a union comparison.
+The enumeration iterates subset sizes upward and, within a size, collects
+every covering subset in lexicographic order over vertex indices, so the
+first size with any cover is the domination number and its covers are every
+minimum set.  Closed d-balls are precomputed as bitmasks, turning the cover
+test into a union comparison.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ def _covers_of_size(
     size: int,
     counter: list[int],
     limit: int,
-    first_only: bool,
 ) -> list[tuple[int, ...]]:
     """All `size`-subsets whose ball union covers `full`, lexicographically.
 
@@ -84,23 +84,20 @@ def _covers_of_size(
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def rec(start: int, left: int, acc: int) -> bool:
+    def rec(start: int, left: int, acc: int) -> None:
         counter[0] += 1
         if counter[0] > limit:
             raise WorkLimitExceeded("domination enumeration work limit exceeded", counter[0])
         if left == 0:
             if acc == full:
                 found.append(tuple(chosen))
-                return first_only
-            return False
+            return
         if acc | suffix[start] != full:
-            return False
+            return
         for v in range(start, n - left + 1):
             chosen.append(v)
-            if rec(v + 1, left - 1, acc | balls[v]):
-                return True
+            rec(v + 1, left - 1, acc | balls[v])
             chosen.pop()
-        return False
 
     rec(0, size, 0)
     return found
@@ -115,21 +112,11 @@ def _resolve_work_limit(work_limit: int | None) -> int:
     return work_limit
 
 
-def _minimum_cover_size(balls: list[int], full: int, n: int, counter: list[int], limit: int) -> int:
-    for size in range(1, n + 1):
-        if _covers_of_size(balls, full, size, counter, limit, first_only=True):
-            return size
-    raise AssertionError("the full vertex set always dominates")
-
-
 def domination_number(g: Graph, d: int, work_limit: int | None = None) -> int:
     """Minimum cardinality of a distance-d dominating set."""
     if g.n == 0:
         raise ValueError("domination number of the empty graph is undefined")
-    limit = _resolve_work_limit(work_limit)
-    balls = distance_balls(g, d)
-    counter = [0]
-    return _minimum_cover_size(balls, (1 << g.n) - 1, g.n, counter, limit)
+    return min_dominating_sets(g, d, work_limit).gamma
 
 
 def min_dominating_sets(g: Graph, d: int, work_limit: int | None = None) -> DominationResult:
@@ -140,9 +127,11 @@ def min_dominating_sets(g: Graph, d: int, work_limit: int | None = None) -> Domi
     balls = distance_balls(g, d)
     full = (1 << g.n) - 1
     counter = [0]
-    gamma = _minimum_cover_size(balls, full, g.n, counter, limit)
-    covers = _covers_of_size(balls, full, gamma, counter, limit, first_only=False)
-    return DominationResult(d, gamma, tuple(frozenset(c) for c in covers))
+    for size in range(1, g.n + 1):
+        covers = _covers_of_size(balls, full, size, counter, limit)
+        if covers:
+            return DominationResult(d, size, tuple(frozenset(c) for c in covers))
+    raise AssertionError("the full vertex set always dominates")
 
 
 def result_to_json(g: Graph, result: DominationResult) -> dict:

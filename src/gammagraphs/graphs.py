@@ -91,9 +91,6 @@ class Graph:
             rest ^= low
         return tuple(out)
 
-    def name_of(self, v: int) -> str:
-        return self.names[v]
-
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
@@ -410,11 +407,6 @@ def canonical_form(g: Graph) -> bytes:
                 adj[j] |= 1 << i
             pos += 1
     return write_graph6(Graph(g.n, tuple(adj), _default_names(g.n))).encode("ascii")
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
-    return parse_graph6(canonical_form(g).decode("ascii"))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import WorkLimitExceeded
 from .graphs import Graph, cartesian_product, induced_subgraph, is_connected
+
+DEFAULT_NODE_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class SearchBudget:
     """
 
     k_max: int | None = None
-    node_limit: int = 10**8
+    node_limit: int = DEFAULT_NODE_LIMIT
 
     def __post_init__(self):
         if self.k_max is not None and self.k_max < 1:
@@ -149,10 +152,6 @@ class SearchOutcome:
         return self.status == "found"
 
 
-class _NodeBudgetExceeded(Exception):
-    pass
-
-
 def _mask_key(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -230,7 +229,8 @@ def _search_fixed_k(
     use_rule: bool,
 ) -> list[int] | None:
     """Complete DFS over normalized labellings with exactly k symbols per
-    label.  Returns position-aligned label bitmasks, or None if none exist."""
+    label.  Returns position-aligned label bitmasks, or None if none exist;
+    raises WorkLimitExceeded once `counter` passes `node_limit`."""
     n = g.n
     labels = [0] * n
     labels[0] = (1 << k) - 1
@@ -275,7 +275,7 @@ def _search_fixed_k(
         for cand in sorted(candidates(pos, used), key=_mask_key):
             counter[0] += 1
             if counter[0] > node_limit:
-                raise _NodeBudgetExceeded
+                raise WorkLimitExceeded("labelling search work limit exceeded", counter[0])
             ok = True
             for j in range(pos):
                 inter = (cand & labels[j]).bit_count()
@@ -315,7 +315,7 @@ def find_labelling(
             masks = _search_fixed_k(
                 g, k, order, parent_pos, adj_pos, p3_pair, counter, node_limit, use_induced_path_rule
             )
-        except _NodeBudgetExceeded:
+        except WorkLimitExceeded:
             return SearchOutcome("budget_exhausted", None, k, counter[0])
         if masks is not None:
             by_vertex = [frozenset()] * g.n

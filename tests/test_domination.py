@@ -131,6 +131,17 @@ def test_work_limit_reported():
     assert exc.value.examined > 5
 
 
+def test_work_limit_counts_one_pass_per_size():
+    # 111 nodes: sizes 1 and 2 find no cover, size 3 lists all three covers
+    # of the 9-cycle; a separate first-cover pass would need 132
+    g = make_family("cycle", 9)
+    result = min_dominating_sets(g, 1, work_limit=111)
+    assert result.gamma == 3 and len(result.min_sets) == 3
+    with pytest.raises(WorkLimitExceeded, match="work limit") as exc:
+        min_dominating_sets(g, 1, work_limit=110)
+    assert exc.value.examined == 111
+
+
 @pytest.mark.parametrize("limit", [0, -5])
 def test_work_limit_below_one_rejected(limit):
     g = domination_demo_graph()
