@@ -1,11 +1,23 @@
 """Exact distance-d domination: predicates, the domination number, and the
 complete family of minimum distance-d dominating sets.
 
-The enumeration iterates subset sizes upward and, within a size, collects
-every covering subset in lexicographic order over vertex indices, so the
-first size with any cover is the domination number and its covers are every
-minimum set.  Closed d-balls are precomputed as bitmasks, turning the cover
-test into a union comparison.
+Closed d-balls are precomputed as bitmasks.  Balls are symmetric, so the
+vertices that can dominate u are exactly the members of u's own ball.  The
+search is one depth-first branch-and-bound over these masks:
+
+- At each node it takes the lowest uncovered vertex u and branches on each
+  member v of u's ball that is not forbidden; after the branch on v returns,
+  v is forbidden to the later siblings.  So every minimal cover lies below
+  exactly one branch, and every minimum set is minimal.
+- The best size starts at a greedy cover's size and drops whenever a smaller
+  cover turns up, which discards the covers collected so far.
+- A node is pruned when its chosen vertices plus a lower bound exceed the
+  best size.  The bound counts uncovered vertices whose non-forbidden
+  dominators are pairwise disjoint, since each needs a member of its own.  A
+  node is also pruned when some uncovered vertex has no dominator left.
+
+The collected covers are sorted as index tuples, so the minimum sets come out
+in lexicographic order.  Every search node counts against the work limit.
 """
 
 from __future__ import annotations
@@ -65,42 +77,90 @@ def is_distance_d_dominating(g: Graph, s, d: int) -> bool:
     return cover == (1 << g.n) - 1
 
 
-def _covers_of_size(
-    balls: list[int],
-    full: int,
-    size: int,
-    counter: list[int],
-    limit: int,
-) -> list[tuple[int, ...]]:
-    """All `size`-subsets whose ball union covers `full`, lexicographically.
+def _greedy_cover_size(balls: list[int], full: int) -> int:
+    """Size of the cover built by repeatedly taking the ball that covers the
+    most still-uncovered vertices: an upper bound on the domination number."""
+    covered = 0
+    size = 0
+    while covered != full:
+        covered |= max(balls, key=lambda ball: (ball & ~covered).bit_count())
+        size += 1
+    return size
 
-    Prunes branches whose remaining suffix union cannot complete the cover.
-    `counter` accumulates enumeration nodes against `limit`.
+
+def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, ...]]:
+    """Every minimum set of vertices whose balls cover `full`, as sorted index
+    tuples in lexicographic order.
+
+    Depth-first over the dominators of the lowest uncovered vertex; see the
+    module docstring for the branching rule and the bounds.  Each search
+    node counts against `limit`.  The stack is explicit, so the depth (up to
+    the greedy cover's size) is not bounded by the interpreter's recursion
+    limit.
     """
-    n = len(balls)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | balls[i]
-    found: list[tuple[int, ...]] = []
+    best = _greedy_cover_size(balls, full)
+    covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    nodes = 0
 
-    def rec(start: int, left: int, acc: int) -> None:
-        counter[0] += 1
-        if counter[0] > limit:
-            raise WorkLimitExceeded("domination enumeration work limit exceeded", counter[0])
-        if left == 0:
-            if acc == full:
-                found.append(tuple(chosen))
-            return
-        if acc | suffix[start] != full:
-            return
-        for v in range(start, n - left + 1):
-            chosen.append(v)
-            rec(v + 1, left - 1, acc | balls[v])
+    def visit(covered: int, forbidden: int) -> int:
+        """Count a node and record it if it is a cover; return the vertices
+        to branch on, or 0 for a leaf or a pruned node."""
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > limit:
+            raise WorkLimitExceeded("domination search work limit exceeded", nodes)
+        if covered == full:
+            if len(chosen) < best:
+                best = len(chosen)
+                covers.clear()
+            covers.append(tuple(sorted(chosen)))
+            return 0
+        allowed = ~forbidden
+        uncovered = full & ~covered
+        # Lower bound: uncovered vertices whose remaining dominators are
+        # pairwise disjoint each need a member of their own.
+        bound = len(chosen)
+        packed = 0
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            dominators = balls[low.bit_length() - 1] & allowed
+            if not dominators:
+                return 0
+            if not dominators & packed:
+                bound += 1
+                if bound > best:
+                    return 0
+                packed |= dominators
+            rest ^= low
+        return balls[(uncovered & -uncovered).bit_length() - 1] & allowed
+
+    # One frame per node on the current path that may still branch:
+    # [covered, forbidden, branches left].  chosen[i] is the vertex taken
+    # from frame i, so a leaf or pruned node never gets a frame.
+    stack = [[0, 0, visit(0, 0)]]
+    while stack:
+        frame = stack[-1]
+        covered, forbidden, options = frame
+        if not options:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = options & -options
+        frame[1] = forbidden | low
+        frame[2] = options ^ low
+        v = low.bit_length() - 1
+        chosen.append(v)
+        covered |= balls[v]
+        options = visit(covered, forbidden)
+        if options:
+            stack.append([covered, forbidden, options])
+        else:
             chosen.pop()
-
-    rec(0, size, 0)
-    return found
+    covers.sort()
+    return covers
 
 
 def _resolve_work_limit(work_limit: int | None) -> int:
@@ -124,14 +184,8 @@ def min_dominating_sets(g: Graph, d: int, work_limit: int | None = None) -> Domi
     if g.n == 0:
         raise ValueError("the empty graph has no dominating sets")
     limit = _resolve_work_limit(work_limit)
-    balls = distance_balls(g, d)
-    full = (1 << g.n) - 1
-    counter = [0]
-    for size in range(1, g.n + 1):
-        covers = _covers_of_size(balls, full, size, counter, limit)
-        if covers:
-            return DominationResult(d, size, tuple(frozenset(c) for c in covers))
-    raise AssertionError("the full vertex set always dominates")
+    covers = _minimum_covers(distance_balls(g, d), (1 << g.n) - 1, limit)
+    return DominationResult(d, len(covers[0]), tuple(frozenset(c) for c in covers))
 
 
 def result_to_json(g: Graph, result: DominationResult) -> dict:

@@ -19,11 +19,11 @@ class UnsupportedSizeError(ValueError):
 
 
 class WorkLimitExceeded(RuntimeError):
-    """Raised when an exhaustive enumeration hits its configured work limit.
+    """Raised when an exhaustive search hits its configured work limit.
 
-    ``examined`` counts the enumeration nodes visited before giving up.
+    ``examined`` counts the search nodes visited before giving up.
     """
 
     def __init__(self, message: str, examined: int):
-        super().__init__(f"{message} ({examined} subsets examined)")
+        super().__init__(f"{message} ({examined} nodes examined)")
         self.examined = examined

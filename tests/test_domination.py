@@ -1,6 +1,9 @@
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammagraphs import (
     Graph,
@@ -10,6 +13,7 @@ from gammagraphs import (
     is_distance_d_dominating,
     make_family,
     min_dominating_sets,
+    permute_graph,
 )
 from gammagraphs.classify import enumerate_connected_graphs
 from gammagraphs.domination import result_to_json
@@ -91,6 +95,51 @@ class TestOracleAgreement:
         result = min_dominating_sets(g, 1)
         assert (result.gamma, set(result.min_sets)) == (gamma, sets)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(1, 9), st.integers(1, 4), st.data())
+    def test_hypothesis_graphs(self, n, d, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        g = Graph.from_edges(n, edges)
+        gamma, sets = powerset_min_dominating(g, d)
+        result = min_dominating_sets(g, d)
+        assert (result.gamma, set(result.min_sets)) == (gamma, sets)
+        # the JSON output relies on this order
+        as_tuples = [tuple(sorted(s)) for s in result.min_sets]
+        assert as_tuples == sorted(as_tuples)
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return permute_graph(g, perm)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_paths_and_cycles(self, family, d):
+        for n in (3, 7, 12, 20, 31):
+            g = make_family(family, n)
+            assert domination_number(g, d) == math.ceil(n / (2 * d + 1))
+
+    def test_relabelled_cycle_forty_distance_two(self):
+        # the five tilings of the cycle by 5-vertex balls
+        result = min_dominating_sets(
+            _relabelled(make_family("cycle", 40), 7), 2, work_limit=5_000_000
+        )
+        assert result.gamma == 8 and len(result.min_sets) == 5
+
+    def test_relabelled_hypercube_five(self):
+        result = min_dominating_sets(_relabelled(make_family("hypercube", 5), 11), 1)
+        assert result.gamma == 7 and len(result.min_sets) == 320
+
+
+def test_search_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 50
+    result = min_dominating_sets(Graph.from_edges(n, []), 1)
+    assert result.gamma == n and result.min_sets == (frozenset(range(n)),)
+
 
 class TestInvariants:
     def test_monotone_in_d(self):
@@ -131,15 +180,14 @@ def test_work_limit_reported():
     assert exc.value.examined > 5
 
 
-def test_work_limit_counts_one_pass_per_size():
-    # 111 nodes: sizes 1 and 2 find no cover, size 3 lists all three covers
-    # of the 9-cycle; a separate first-cover pass would need 132
+def test_work_limit_counts_search_nodes():
+    # the branch-and-bound visits 20 nodes on the 9-cycle, each counted once
     g = make_family("cycle", 9)
-    result = min_dominating_sets(g, 1, work_limit=111)
+    result = min_dominating_sets(g, 1, work_limit=20)
     assert result.gamma == 3 and len(result.min_sets) == 3
     with pytest.raises(WorkLimitExceeded, match="work limit") as exc:
-        min_dominating_sets(g, 1, work_limit=110)
-    assert exc.value.examined == 111
+        min_dominating_sets(g, 1, work_limit=19)
+    assert exc.value.examined == 20
 
 
 @pytest.mark.parametrize("limit", [0, -5])
