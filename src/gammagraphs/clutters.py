@@ -1,5 +1,6 @@
 """Clutters (antichains of subsets of a finite ground set) and the blocker
-operation: the family of all inclusion-minimal transversals."""
+operation: all inclusion-minimal transversals, enumerated by one depth-first
+search that checks minimality as it extends a set (see `blocker`)."""
 
 from __future__ import annotations
 
@@ -61,61 +62,59 @@ def validate_clutter(ground_size: int, family) -> Clutter:
 def blocker(c: Clutter) -> Clutter:
     """All inclusion-minimal subsets of the ground set meeting every member.
 
-    Computed by incremental transversal extension: branch on the first
-    uncovered member and add each of its elements, then keep the minimal
-    results.  The blocker of the empty clutter is rejected; the blocker of
-    {{}} is the empty clutter (nothing intersects the empty set).
+    Depth-first: branch on the non-forbidden elements of the first member M
+    the set misses, smallest first, forbidding each to later siblings after
+    its branch.  Add an element only if each chosen one keeps a private member
+    (met by the set in it alone); record each set that meets every member.
+    - Completeness: a minimal T above the set and clear of the forbidden
+      elements is reached through the smallest element of T ∩ M.
+    - Sound pruning: an element with no private member keeps none in any
+      superset.
+    - Uniqueness: siblings differ in whether the earlier element is forbidden.
+    The empty clutter is rejected; the blocker of {{}} is the empty clutter.
     """
     if not c.members:
         raise ValueError("the blocker of the empty clutter is undefined")
-    masks = []
-    for m in c.members:
-        mask = 0
+    # members[i]: bit e per element e of member i; hits[e]: bit i per member i containing e.
+    members = [0] * len(c.members)
+    hits = [0] * (c.ground_size + 1)
+    for i, m in enumerate(c.members):
         for e in m:
-            mask |= 1 << (e - 1)
-        masks.append(mask)
-    if 0 in masks:
-        return Clutter(c.ground_size, ())
+            members[i] |= 1 << e
+            hits[e] |= 1 << i
+    found = []
 
-    found: set[int] = set()
-    seen: set[int] = set()
-
-    def extend(partial: int) -> None:
-        if partial in seen:
+    def search(chosen: tuple[int, ...], private: list[int], unhit: int, forbidden: int) -> None:
+        if not unhit:
+            found.append(frozenset(chosen))
             return
-        seen.add(partial)
-        for mask in masks:
-            if mask & partial == 0:
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    extend(partial | low)
-                    rest ^= low
-                return
-        found.add(partial)
+        options = members[(unhit & -unhit).bit_length() - 1] & ~forbidden
+        while options:
+            low = options & -options
+            e = low.bit_length() - 1
+            kept = [p & ~hits[e] for p in private]
+            if all(kept):
+                search(chosen + (e,), kept + [unhit & hits[e]], unhit & ~hits[e], forbidden)
+            forbidden |= low
+            options ^= low
 
-    extend(0)
-    minimal = [
-        t for t in found if not any(o != t and o & t == o for o in found)
-    ]
-    members = []
-    for t in minimal:
-        s = set()
-        rest = t
-        while rest:
-            low = rest & -rest
-            s.add(low.bit_length())
-            rest ^= low
-        members.append(frozenset(s))
-    return Clutter(c.ground_size, tuple(members))
+    search((), [], (1 << len(members)) - 1, 0)
+    return Clutter(c.ground_size, tuple(found))
 
 
 def clutter_to_json(c: Clutter) -> dict:
     return {"n": c.ground_size, "members": [sorted(m) for m in c.members]}
 
 
-def clutter_from_json(doc: dict) -> Clutter:
-    return validate_clutter(int(doc["n"]), [frozenset(map(int, m)) for m in doc["members"]])
+def clutter_from_json(doc) -> Clutter:
+    """Parse {"n": int, "members": [[int, ...], ...]}, or raise ValueError."""
+    if not (isinstance(doc, dict) and "n" in doc and isinstance(doc.get("members"), list)
+            and all(isinstance(m, list) for m in doc["members"])):
+        raise ValueError('a clutter document is {"n": int, "members": [[int, ...], ...]}')
+    for x in [doc["n"], *(e for m in doc["members"] for e in m)]:
+        if type(x) is not int:
+            raise ValueError(f"not an integer: {x!r}")
+    return validate_clutter(doc["n"], [frozenset(m) for m in doc["members"]])
 
 
 def random_clutter(rng: random.Random, ground_size: int, max_members: int | None = None) -> Clutter:

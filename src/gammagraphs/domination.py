@@ -40,23 +40,28 @@ class DominationResult:
 
 
 def distance_balls(g: Graph, d: int) -> list[int]:
-    """Closed d-ball of each vertex as a bitmask (vertices within distance d)."""
+    """Closed d-ball of each vertex as a bitmask (vertices within distance d).
+
+    Built level by level: ball_i(v) is N[v] together with ball_(i-1)(u) for
+    every neighbour u of v, and the levels stop once one adds nothing.
+    """
     if d < 1:
         raise ValueError("distance parameter d must be >= 1")
-    balls = []
-    for v in range(g.n):
-        cur = 1 << v
-        for _ in range(d):
-            nxt = cur
-            rest = cur
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    balls = closed
+    for _ in range(d - 1):
+        grown = []
+        for v in range(g.n):
+            ball = closed[v]
+            rest = g.adj[v]
             while rest:
                 low = rest & -rest
-                nxt |= g.adj[low.bit_length() - 1]
+                ball |= balls[low.bit_length() - 1]
                 rest ^= low
-            if nxt == cur:
-                break
-            cur = nxt
-        balls.append(cur)
+            grown.append(ball)
+        if grown == balls:
+            break
+        balls = grown
     return balls
 
 

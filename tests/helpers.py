@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from gammagraphs import Graph, all_pairs_distances, canonical_form, induced_subgraph, write_graph6
+from gammagraphs import Clutter, Graph, all_pairs_distances, canonical_form, induced_subgraph, write_graph6
 from gammagraphs.classify import decide_labellable
 from gammagraphs.labelling import Labelling, labelling_to_json, middle_label_candidates
 
@@ -38,6 +38,19 @@ def powerset_min_dominating(g: Graph, d: int) -> tuple[int, set[frozenset[int]]]
             break
     assert best is not None and best >= 1
     return best, sets
+
+
+def powerset_blocker(c: Clutter) -> Clutter:
+    """Scan the subsets of the ground set in size order; keep each transversal
+    that contains no transversal kept before it (a smaller one, since an
+    equal-size subset is never a proper subset)."""
+    kept: list[frozenset[int]] = []
+    for size in range(c.ground_size + 1):
+        for subset in itertools.combinations(range(1, c.ground_size + 1), size):
+            s = frozenset(subset)
+            if all(s & m for m in c.members) and not any(t <= s for t in kept):
+                kept.append(s)
+    return Clutter(c.ground_size, tuple(kept))
 
 
 def oracle_labelling_exists(g: Graph, k: int) -> bool:

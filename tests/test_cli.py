@@ -76,6 +76,27 @@ class TestBlocker:
         assert doc == {"n": 4, "members": [[1], [2], [3, 4]]}
 
 
+@pytest.mark.parametrize("command", [["blocker"], ["realize", "--d", "1"]])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"members": [[1, 2]]},
+        {"n": 3},
+        {"n": 3, "members": 5},
+        {"n": 3, "members": [[1], 2]},
+        {"n": 3, "members": [[1, "2"]]},
+        {"n": 3.0, "members": [[1, 2]]},
+        [1, 2],
+    ],
+)
+def test_malformed_sets_file_is_usage_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert run(command + ["--sets-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 class TestLabel:
     def test_found(self, capsys):
         word = write_graph6(make_family("cycle", 5))

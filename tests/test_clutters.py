@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammagraphs import Clutter, blocker, random_clutter, validate_clutter
 from gammagraphs.clutters import clutter_from_json, clutter_to_json
+
+from helpers import powerset_blocker
 
 
 def _sets(*specs):
@@ -105,6 +107,26 @@ class TestInvolution:
         assert blocker(blocker(c)).members == c.members
 
 
+@st.composite
+def _clutters(draw):
+    """A clutter over a ground set of 1-8 elements, drawn from all its
+    subsets, the empty one included."""
+    n = draw(st.integers(1, 8))
+    subsets = [
+        frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(1, n + 1), size)
+    ]
+    family = draw(st.sets(st.sampled_from(subsets), min_size=1, max_size=12))
+    return Clutter(n, tuple(s for s in family if not any(o < s for o in family)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_clutters())
+@example(Clutter(3, (frozenset(),)))
+@example(Clutter(8, (frozenset({2, 5}), frozenset({5, 7}))))
+def test_blocker_matches_powerset_oracle(c):
+    assert blocker(c) == powerset_blocker(c)
+
+
 class TestMinimality:
     def test_blocker_members_are_minimal_transversals(self):
         rng = random.Random(5)
@@ -116,6 +138,20 @@ class TestMinimality:
                 for e in t:
                     smaller = t - {e}
                     assert any(not (smaller & m) for m in c.members)
+
+    def test_forty_members_over_twenty_symbols(self):
+        rng = random.Random(1)
+        family: set[frozenset[int]] = set()
+        while len(family) < 40:
+            family.add(frozenset(rng.sample(range(1, 21), 3)))
+        c = Clutter(20, tuple(family))
+        b = blocker(c)
+        assert len(b.members) == 646
+        assert blocker(b) == c
+        for t in b.members:
+            assert all(t & m for m in c.members)
+            for e in t:
+                assert any(t & m == {e} for m in c.members)
 
 
 def test_json_roundtrip():

@@ -16,7 +16,7 @@ from gammagraphs import (
     permute_graph,
 )
 from gammagraphs.classify import enumerate_connected_graphs
-from gammagraphs.domination import result_to_json
+from gammagraphs.domination import distance_balls, result_to_json
 from gammagraphs.fixtures import domination_demo_graph
 
 from helpers import powerset_min_dominating, random_graph
@@ -48,6 +48,31 @@ class TestPredicates:
             is_distance_d_dominating(g, {5}, 1)
         with pytest.raises(ValueError):
             is_distance_d_dominating(g, {0}, 0)
+
+
+class TestDistanceBalls:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_match_all_pairs_distances(self, d):
+        rng = random.Random(d)
+        graphs = [
+            Graph.from_edges(0, []),
+            Graph.from_edges(4, []),
+            Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (5, 6)]),
+            make_family("path", 12),
+            make_family("cycle", 9),
+        ]
+        graphs += [random_graph(rng, rng.randint(1, 14), p) for p in (0.1, 0.25, 0.5) for _ in range(10)]
+        for g in graphs:
+            dm = all_pairs_distances(g)
+            expected = [
+                sum(1 << u for u in range(g.n) if dm.dist(v, u) is not None and dm.dist(v, u) <= d)
+                for v in range(g.n)
+            ]
+            assert distance_balls(g, d) == expected
+
+    def test_d_below_one_rejected(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            distance_balls(make_family("path", 3), 0)
 
 
 class TestDemoGraphFamilies:
