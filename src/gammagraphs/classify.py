@@ -7,39 +7,44 @@ labellability is hereditary on induced subgraphs).  Searches are bounded, so
 every non-labellable verdict is relative to the budget's k_max, and budget
 exhaustion surfaces as an explicit "undecided" status rather than a verdict.
 
-A run never proves twice what it already knows.  Every status it settles is
-kept by canonical form in one `_DecisionCache`, and two steps read it:
+A run never proves twice what it already knows.  It keeps one record per
+isomorphism class, keyed by canonical form (`_Records`): the class's own
+status, and its witness, the least (size, form) among its induced subgraphs
+decided unlabellable, itself included.  A graph's record comes from the
+records of its connected deletions, by this lemma: every connected proper
+induced subgraph W of a connected graph g lies in a connected deletion.  Grow
+a spanning tree of g out from a spanning tree of W; it has a leaf v outside
+W, so g - v is connected and contains W.
 
-- **Lookup before search.**  Before searching a graph g, `classify` looks up
-  the canonical forms of g's one-vertex deletions.  This is a dict lookup and
-  never starts a search.  If one of them is already recorded unlabellable,
-  so is g (heredity; `SearchBudget` shows the k bounds agree), and g is
-  nonminimal with no search of its own.  A miss falls back to searching g.
-  Inputs are classified in graph6 order, whose first byte is the vertex
-  count, so under `--max-n` every smaller connected graph is recorded first.
-  Looking up the connected deletions is enough to catch every nonminimal g:
-  if a connected g has a proper unlabellable induced subgraph, a minimal one
-  W is connected (a component of a disconnected unlabellable graph is
-  already unlabellable).  Grow a spanning tree of g out from a spanning tree
-  of W; it has a leaf v outside W, so g - v is connected, contains W, and is
-  unlabellable.
-- **Witness search walking down from g.**  The smallest unlabellable subset
-  is found by descending from V(g) one vertex at a time, keeping only the
-  subsets not decided labellable.  A labelling of a set restricts to every
-  subset, so no subset of a labellable set is ever decided unlabellable, and
-  every unlabellable subset is reached through unlabellable supersets.  Each
-  level's subsets are tried once.
+- **The witness is the least of the deletions' witnesses.**  A smallest
+  unlabellable induced subgraph is connected (a component of a disconnected
+  unlabellable graph is already unlabellable), so by the lemma it lies in a
+  connected deletion.  A disconnected g takes its components' records
+  instead; each connected induced subgraph lies in one of them.
+- **g is searched only when no deletion carries a witness.**  A deletion
+  with a witness makes g unlabellable without a search of its own
+  (heredity; `SearchBudget` shows the k bounds agree).  Otherwise g's search
+  decides it, and an unlabellable g is its own witness.  It is minimal when
+  every connected deletion is labellable: each component of a disconnected
+  deletion lies in one of those.
+- **The witness tuple is found by one scan.**  `Verdict.witness` is the first
+  vertex subset, in lexicographic order, with the witness's size and form:
+  the least (form, tuple) among the smallest unlabellable subsets.
 
-Both steps return exactly what deciding every graph, deletion and subset
-afresh would, as long as no search runs out of nodes.  Under a node limit
-that stops searches, one difference remains: a lookup hit settles as
-nonminimal a graph whose own search would have ended "undecided".  The
-verdict is sound, since it rests on a completed search of a deletion.
+Inputs are classified in graph6 order, whose first byte is the vertex count,
+so under `--max-n` every deletion's record is kept before it is read; a
+record missing from the memo is settled on demand by the same rule.  This
+gives exactly what deciding every graph, deletion and subset afresh would,
+as long as no search runs out of nodes.  Under a node limit that stops
+searches, one difference remains: a graph whose own search would end
+"undecided" is settled nonminimal when a deletion carries a witness.  The
+verdict is sound, since it rests on a completed search of a subgraph.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import UnsupportedSizeError
@@ -48,6 +53,7 @@ from .graphs import (
     canonical_form,
     connected_components,
     induced_subgraph,
+    is_connected,
     parse_graph6,
     write_graph6,
 )
@@ -102,6 +108,18 @@ class ClassificationReport:
 
 @functools.lru_cache(maxsize=None)
 def _connected_words(n: int) -> tuple[str, ...]:
+    """Canonical words of the connected graphs on n vertices, by canonical
+    deletion (McKay, "Isomorph-free exhaustive generation", 1998).
+
+    Each child is a parent on n - 1 vertices plus a new vertex v with a
+    nonempty neighbourhood.  It is kept only when no non-cut vertex has a
+    larger invariant (degree, sorted neighbour degrees) than v, and only kept
+    children get a canonical form; the word set removes the duplicates left.
+    Nothing is lost: every connected C has a non-cut vertex v* of largest
+    invariant, C - v* is connected and so is one of the parents, and the
+    child that extends it by v*'s neighbourhood is C with v* as v, which is
+    kept because the invariant does not depend on the labelling.
+    """
     if n == 1:
         return (canonical_form(Graph.from_edges(1, [])).decode("ascii"),)
     words: set[str] = set()
@@ -112,9 +130,42 @@ def _connected_words(n: int) -> tuple[str, ...]:
             for u in range(n - 1):
                 if (nbrs >> u) & 1:
                     adj[u] |= 1 << (n - 1)
+            if not _largest_non_cut_vertex_is_last(adj):
+                continue
             extended = Graph(n, tuple(adj), tuple(str(i + 1) for i in range(n)))
             words.add(canonical_form(extended).decode("ascii"))
     return tuple(sorted(words))
+
+
+def _largest_non_cut_vertex_is_last(adj: list[int]) -> bool:
+    """Whether no non-cut vertex of the connected graph `adj` has a larger
+    invariant (degree, sorted neighbour degrees) than its last vertex."""
+    n = len(adj)
+    degree = [mask.bit_count() for mask in adj]
+
+    def invariant(u: int) -> tuple[int, list[int]]:
+        return degree[u], sorted(degree[w] for w in range(n) if (adj[u] >> w) & 1)
+
+    last = invariant(n - 1)
+    return not any(
+        degree[u] >= last[0] and invariant(u) > last and not _is_cut_vertex(adj, u)
+        for u in range(n - 1)
+    )
+
+
+def _is_cut_vertex(adj: list[int], u: int) -> bool:
+    """Whether deleting u disconnects the connected graph `adj`."""
+    rest = ((1 << len(adj)) - 1) & ~(1 << u)
+    reached = frontier = rest & -rest
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & rest & ~reached
+        reached |= frontier
+    return reached != rest
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
@@ -124,8 +175,8 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 
     Every connected graph on n vertices extends a connected graph on n-1
     vertices by one vertex with a nonempty neighbourhood (delete a non-cut
-    vertex to see this), so vertex-by-vertex extension with canonical-form
-    deduplication is exhaustive.
+    vertex to see this); `_connected_words` keeps only the extensions by a
+    largest non-cut vertex and removes the duplicates left by canonical form.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -198,117 +249,126 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
     return Verdict(LABELLABLE, k_bound, combined)
 
 
-class _DecisionCache:
-    """Labellable/unlabellable/undecided statuses by canonical form.
+# A class's record: its own status, and the least (size, canonical form)
+# among its induced subgraphs decided unlabellable, itself included (None
+# when there is none).
+Record = tuple[str, tuple[int, bytes] | None]
 
-    A classified graph's own status waits, filed by vertex count, until a
-    lookup reads that count: only then is its canonical form computed.  A
-    run whose inputs all have the same size never needs those forms, and
-    for large symmetric inputs they cost far more than the search (the
-    12-cycle's form takes over 20 s, its labelling a millisecond).
+
+class _Records:
+    """One record per isomorphism class, keyed by canonical form.
+
+    A classified graph's record waits, filed by vertex count, until a lookup
+    reads that count: only then is its canonical form computed.  A run whose
+    inputs all have the same size never needs those forms, and for large
+    symmetric inputs they cost far more than the search (the 12-cycle's form
+    takes over 20 s, its labelling a millisecond).
     """
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
-        self.by_form: dict[bytes, str] = {}
-        self.unlabellable_orders: set[int] = set()
-        self._unfiled: dict[int, list[tuple[Graph, str]]] = {}
+        self.by_form: dict[bytes, Record] = {}
+        self.orders: set[int] = set()  # vertex counts of the kept and settled classes
+        self._unfiled: dict[int, list[tuple[Graph, Record]]] = {}
 
-    def record(self, g: Graph, status: str) -> None:
-        """Keep a classified graph's settled status."""
-        self._unfiled.setdefault(g.n, []).append((g, status))
-        if status == UNLABELLABLE:
-            self.unlabellable_orders.add(g.n)
+    def keep(self, g: Graph, record: Record) -> None:
+        """Keep a classified graph's record."""
+        self._unfiled.setdefault(g.n, []).append((g, record))
+        self.orders.add(g.n)
 
-    def _file(self, n: int) -> None:
-        for g, status in self._unfiled.pop(n, ()):
-            self.by_form.setdefault(canonical_form(g), status)
+    def lookup(self, g: Graph) -> Record:
+        """The record of g's class, settling g on a miss."""
+        for h, record in self._unfiled.pop(g.n, ()):
+            self.by_form.setdefault(canonical_form(h), record)
+        form = canonical_form(g)
+        record = self.by_form.get(form)
+        if record is None:
+            record = self.by_form[form] = self.settle(g)[0]
+            self.orders.add(g.n)
+        return record
 
-    def has_unlabellable_deletion(self, g: Graph) -> bool:
-        """Whether a one-vertex deletion of g is recorded unlabellable: one
-        dict lookup per deletion, never a search.  Skipped, with no canonical
-        forms computed, while no graph on g.n - 1 vertices is recorded
-        unlabellable."""
-        if g.n - 1 not in self.unlabellable_orders:
-            return False
-        self._file(g.n - 1)
-        return any(
-            self.by_form.get(canonical_form(sub)) == UNLABELLABLE for sub in _deletions(g)
-        )
+    def settle(self, g: Graph) -> tuple[Record, Verdict | None, list[Record]]:
+        """g's record, g's own verdict if it was searched, and the records of
+        g's parts (see `_parts`).
 
-    def status(self, g: Graph, form: bytes | None = None) -> str:
-        """The recorded status of g's class, deciding g on a miss."""
-        self._file(g.n)
-        form = form or canonical_form(g)
-        hit = self.by_form.get(form)
-        if hit is None:
-            hit = decide_labellable(g, self.budget).status
-            self.by_form[form] = hit
-            if hit == UNLABELLABLE:
-                self.unlabellable_orders.add(g.n)
-        return hit
-
-
-def _deletions(g: Graph) -> list[Graph]:
-    return [induced_subgraph(g, [u for u in range(g.n) if u != v]) for v in range(g.n)]
+        g is searched only when no part carries a witness.  Its parts are
+        read first, except while no class on g.n - 1 vertices is known: then
+        g is searched first, and a labellable g needs no canonical form.
+        """
+        own = None
+        if g.n - 1 not in self.orders:
+            own = decide_labellable(g, self.budget)
+            if own.status == LABELLABLE:
+                return (LABELLABLE, None), own, []
+        parts = [self.lookup(sub) for sub in _parts(g)]
+        witness = min((w for _, w in parts if w is not None), default=None)
+        if witness is not None:
+            return (UNLABELLABLE, witness), own, parts
+        if own is None:
+            own = decide_labellable(g, self.budget)
+        if own.status == UNLABELLABLE:
+            witness = (g.n, canonical_form(g))
+        return (own.status, witness), own, parts
 
 
-def _smallest_unlabellable_subset(
-    g: Graph, cache: _DecisionCache
-) -> tuple[int, ...] | None:
-    """Smallest proper induced subgraph decided unlabellable; among the
-    smallest, ties break by canonical form, then by vertex tuple.
+def _parts(g: Graph) -> list[Graph]:
+    """The proper induced subgraphs whose records make up g's: its
+    components if it is disconnected, else its connected deletions.  Every
+    connected proper induced subgraph of g lies in one of them."""
+    comps = connected_components(g)
+    if len(comps) > 1:
+        return [induced_subgraph(g, comp) for comp in comps]
+    deletions = (induced_subgraph(g, [u for u in range(g.n) if u != v]) for v in range(g.n))
+    return [sub for sub in deletions if is_connected(sub)]
 
-    Walks down from V(g) one vertex at a time and keeps only subsets not
-    decided labellable (see the module docstring).
+
+def _smallest_unlabellable_subset(g: Graph, witness: tuple[int, bytes]) -> tuple[int, ...]:
+    """The first vertex subset, in lexicographic order, whose induced
+    subgraph has the recorded witness's size and form.
+
+    The record holds the least (size, form) among g's induced subgraphs
+    decided unlabellable, so this is the least (form, vertex tuple) among the
+    smallest of them.  A subset gets a canonical form only when its degree
+    sequence is the witness's.
     """
-    best = None
-    level = {(1 << g.n) - 1}
-    while level:
-        below = set()
-        hits: list[tuple[bytes, tuple[int, ...]]] = []
-        for mask in {m & ~(1 << v) for m in level for v in range(g.n) if (m >> v) & 1}:
-            subset = tuple(v for v in range(g.n) if (mask >> v) & 1)
-            sub = induced_subgraph(g, subset)
-            form = canonical_form(sub)
-            status = cache.status(sub, form)
-            if status == UNLABELLABLE:
-                hits.append((form, subset))
-            if status != LABELLABLE:
-                below.add(mask)
-        if hits:
-            best = min(hits)[1]
-        level = below
-    return best
+    size, form = witness
+    degrees = sorted(mask.bit_count() for mask in parse_graph6(form.decode("ascii")).adj)
+    for subset in itertools.combinations(range(g.n), size):
+        inside = sum(1 << v for v in subset)
+        if sorted((g.adj[v] & inside).bit_count() for v in subset) != degrees:
+            continue
+        if canonical_form(induced_subgraph(g, subset)) == form:
+            return subset
+    raise AssertionError("no induced subgraph has the recorded witness form")
 
 
 def is_minimally_unlabellable(
-    g: Graph, budget: SearchBudget | None = None, _cache: _DecisionCache | None = None
+    g: Graph, budget: SearchBudget | None = None, _records: _Records | None = None
 ) -> Verdict:
-    """Refine an unlabellable graph into minimal vs nonminimal by deciding
-    all one-vertex-deleted subgraphs; labellable inputs pass straight
-    through and budget exhaustion anywhere yields "undecided".
+    """Refine an unlabellable graph into minimal vs nonminimal; labellable
+    inputs pass straight through and budget exhaustion yields "undecided".
 
-    A deletion already recorded unlabellable in the cache settles g as
-    nonminimal without searching g itself.
+    A part (see `_parts`) whose record carries a witness settles g as
+    nonminimal without searching g itself.  An unlabellable g with no such
+    part is minimal when every part is labellable: each component of a
+    disconnected deletion lies in a connected deletion.
     """
     budget = budget or SearchBudget()
-    cache = _cache if _cache is not None else _DecisionCache(budget)
-    settled = cache.has_unlabellable_deletion(g)
-    own = Verdict(UNLABELLABLE, budget.resolve(g)[0]) if settled else decide_labellable(g, budget)
-    if own.status == UNDECIDED:
+    records = _records if _records is not None else _Records(budget)
+    record, own, parts = records.settle(g)
+    records.keep(g, record)
+    witness = record[1]
+    k_bound = budget.resolve(g)[0]
+    if witness is None:
+        assert own is not None
         return own
-    cache.record(g, own.status)
-    if own.status == LABELLABLE:
-        return own
-    deletion_statuses = [UNLABELLABLE] if settled else [cache.status(sub) for sub in _deletions(g)]
-    if UNLABELLABLE in deletion_statuses:
-        witness = _smallest_unlabellable_subset(g, cache)
-        assert witness is not None
-        return Verdict(UNLABELLABLE_NONMINIMAL, own.k_bound, witness=witness)
-    if UNDECIDED in deletion_statuses:
-        return Verdict(UNDECIDED, own.k_bound)
-    return Verdict(MINIMALLY_UNLABELLABLE, own.k_bound)
+    if witness[0] < g.n:
+        return Verdict(
+            UNLABELLABLE_NONMINIMAL, k_bound, witness=_smallest_unlabellable_subset(g, witness)
+        )
+    if all(status == LABELLABLE for status, _ in parts):
+        return Verdict(MINIMALLY_UNLABELLABLE, k_bound)
+    return Verdict(UNDECIDED, k_bound)
 
 
 def classify(graphs, budget: SearchBudget | None = None) -> ClassificationReport:
@@ -317,8 +377,8 @@ def classify(graphs, budget: SearchBudget | None = None) -> ClassificationReport
     ordered by graph6 word."""
     budget = budget or SearchBudget()
     items = sorted({write_graph6(g): g for g in graphs}.items())
-    cache = _DecisionCache(budget)
-    verdicts = {word: is_minimally_unlabellable(g, budget, _cache=cache) for word, g in items}
+    records = _Records(budget)
+    verdicts = {word: is_minimally_unlabellable(g, budget, records) for word, g in items}
     counts = {LABELLABLE: 0, MINIMALLY_UNLABELLABLE: 0, UNLABELLABLE_NONMINIMAL: 0, UNDECIDED: 0}
     for v in verdicts.values():
         counts[v.status] += 1

@@ -45,11 +45,18 @@ def _check_antichain(ground_size: int, members) -> None:
         for e in m:
             if not (1 <= e <= ground_size):
                 raise ValueError(f"element {e} outside ground set [1..{ground_size}]")
-    for a in members:
-        for b in members:
-            if a != b and a <= b:
+    # members are sorted by size and distinct, so a member can lie only in a
+    # later, strictly larger one: that order finds the first offending pair
+    masks = [sum(1 << e for e in m) for m in members]
+    larger = 0
+    for i, a in enumerate(masks):
+        while larger < len(members) and len(members[larger]) <= len(members[i]):
+            larger += 1
+        for j in range(larger, len(masks)):
+            if not a & ~masks[j]:
                 raise ValueError(
-                    f"not an antichain: member {sorted(a)} is contained in member {sorted(b)}"
+                    f"not an antichain: member {sorted(members[i])} is contained in "
+                    f"member {sorted(members[j])}"
                 )
 
 

@@ -339,11 +339,13 @@ def _equitable_colors(adj: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=200_000)
-def _canonical_bits(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically minimal upper-triangle bit string over all orderings
-    consistent with the equitable colouring (vertices sorted by colour)."""
+def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
+    """graph6 bytes of the lexicographically minimal upper-triangle bit string
+    over all orderings consistent with the equitable colouring (vertices
+    sorted by colour).  The bits come in graph6's own order, (0,1),(0,2),
+    (1,2),(0,3),..., so they are packed six to a byte as they stand."""
     if n == 0:
-        return ()
+        return bytes([63])
     colors = _equitable_colors(adj)
     target = sorted(colors)
     by_color: dict[int, list[int]] = {}
@@ -384,7 +386,14 @@ def _canonical_bits(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
 
     dfs(0, True)
     assert best is not None
-    return tuple(best)
+    word = bytearray([63 + n])
+    for start in range(0, len(best), 6):
+        chunk = best[start : start + 6]
+        acc = 0
+        for bit in chunk:
+            acc = (acc << 1) | bit
+        word.append(63 + (acc << (6 - len(chunk))))
+    return bytes(word)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -397,16 +406,7 @@ def canonical_form(g: Graph) -> bytes:
         raise UnsupportedSizeError(
             f"canonical form supports at most {CANONICAL_FORM_MAX_VERTICES} vertices, got {g.n}"
         )
-    bits = _canonical_bits(g.n, g.adj)
-    adj = [0] * g.n
-    pos = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            if bits[pos]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos += 1
-    return write_graph6(Graph(g.n, tuple(adj), _default_names(g.n))).encode("ascii")
+    return _canonical_word(g.n, g.adj)
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

@@ -121,16 +121,9 @@ def reference_classification(graphs, budget) -> dict:
         elif own.status == "unlabellable":
             deletions = {status(induced_subgraph(g, set(range(g.n)) - {v})) for v in range(g.n)}
             if "unlabellable" in deletions:
-                for size in range(1, g.n):
-                    hits = [
-                        canonical_form(sub)
-                        for subset in itertools.combinations(range(g.n), size)
-                        if status(sub := induced_subgraph(g, subset)) == "unlabellable"
-                    ]
-                    if hits:
-                        break
+                witness = induced_subgraph(g, reference_witness(g, budget))
                 doc["status"] = "unlabellable_nonminimal"
-                doc["witness_graph6"] = min(hits).decode("ascii")
+                doc["witness_graph6"] = canonical_form(witness).decode("ascii")
             elif "undecided" in deletions:
                 doc["status"] = "undecided"
             else:
@@ -145,6 +138,21 @@ def reference_classification(graphs, budget) -> dict:
         "exploratory_n": [n for n in n_values if n >= 7],
     }
     return {"params": params, "verdicts": verdicts, "counts": counts}
+
+
+def reference_witness(g: Graph, budget) -> tuple[int, ...] | None:
+    """Among the smallest vertex subsets whose induced subgraphs are decided
+    unlabellable, the lexicographically first of least canonical form;
+    every proper subset is decided afresh, smallest first."""
+    for size in range(1, g.n):
+        hits = [
+            (canonical_form(sub), subset)
+            for subset in itertools.combinations(range(g.n), size)
+            if decide_labellable(sub := induced_subgraph(g, subset), budget).status == "unlabellable"
+        ]
+        if hits:
+            return min(hits)[1]
+    return None
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,7 +1,9 @@
+import functools
 import inspect
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gammagraphs
 import gammagraphs.classify as classify_module
@@ -15,6 +17,7 @@ from gammagraphs import (
     is_valid_labelling,
     make_family,
     parse_graph6,
+    permute_graph,
     write_graph6,
 )
 from gammagraphs.classify import (
@@ -36,9 +39,14 @@ from gammagraphs.fixtures import (
     minimal_unlabellable_six,
 )
 
-from helpers import all_graphs_on, reference_classification
+from helpers import all_graphs_on, reference_classification, reference_witness
 
 BUDGET = SearchBudget(k_max=6)
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_words(n: int) -> frozenset[str]:
+    return frozenset(write_graph6(g) for g in enumerate_connected_graphs(n))
 
 
 class TestEnumeration:
@@ -65,6 +73,36 @@ class TestEnumeration:
             brute = {canonical_form(g) for g in all_graphs_on(n) if is_connected(g) and g.n == n}
             fast = {canonical_form(g) for g in enumerate_connected_graphs(n)}
             assert brute == fast
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_connected_graph_is_enumerated(self, data):
+        # a random spanning tree plus random edges, under a random vertex order
+        n = data.draw(st.integers(1, 7))
+        edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = list(itertools.combinations(range(n), 2))
+        extra = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        edges |= {pairs[i] for i in range(len(pairs)) if (extra >> i) & 1}
+        g = permute_graph(Graph.from_edges(n, edges), data.draw(st.permutations(range(n))))
+        assert canonical_form(g).decode() in _enumerated_words(n)
+
+    def test_canonical_forms_computed_by_enumeration(self, monkeypatch):
+        # only children whose new vertex is a largest non-cut vertex get a form
+        real = classify_module.canonical_form
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(classify_module, "canonical_form", counting)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            classify_module._connected_words.cache_clear()
+            classify_module._connected_words(7)
+            counts.append(len(calls))
+        assert counts == [1699, 1699]
 
     def test_out_of_range(self):
         with pytest.raises(UnsupportedSizeError, match="graph6"):
@@ -150,6 +188,23 @@ class TestMinimality:
         witness_graph = induced_subgraph(g, verdict.witness)
         y_graph = minimal_unlabellable_five()[2]
         assert are_isomorphic(witness_graph, y_graph)
+
+    def test_undecided_deletion_leaves_minimality_undecided(self, monkeypatch):
+        wheel = make_family("wheel", 6)
+        real = classify_module.decide_labellable
+
+        def five_vertex_searches_run_out(g, budget=None):
+            return Verdict(UNDECIDED, 5) if g.n == 5 else real(g, budget)
+
+        monkeypatch.setattr(classify_module, "decide_labellable", five_vertex_searches_run_out)
+        assert is_minimally_unlabellable(wheel, BUDGET).status == UNDECIDED
+
+    def test_disconnected_input_takes_witness_from_a_component(self):
+        k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
+        twice = Graph.from_edges(10, k23 + [(u + 5, v + 5) for u, v in k23])
+        verdict = is_minimally_unlabellable(twice, BUDGET)
+        assert verdict.status == UNLABELLABLE_NONMINIMAL
+        assert verdict.witness == (0, 1, 2, 3, 4) == reference_witness(twice, BUDGET)
 
     def test_labellable_graph_passes_through(self):
         verdict = is_minimally_unlabellable(make_family("cycle", 5), BUDGET)
@@ -283,6 +338,20 @@ class TestShortCircuit:
             assert got[word]["k_bound"] == ref[word]["k_bound"]
             witness = parse_graph6(got[word]["witness_graph6"])
             assert decide_labellable(witness, budget).status == UNLABELLABLE
+
+    @pytest.mark.parametrize(
+        "budget", [SearchBudget(), SearchBudget(k_max=3)], ids=["default", "k3"]
+    )
+    def test_witness_tuples_match_brute_force(self, budget):
+        report = classify(self.GRAPHS, budget)
+        nonminimal = [
+            (word, v.witness)
+            for word, v in report.verdicts.items()
+            if v.status == UNLABELLABLE_NONMINIMAL
+        ]
+        assert nonminimal
+        for word, witness in nonminimal:
+            assert witness == reference_witness(parse_graph6(word), budget), word
 
     def test_labellable_inputs_of_one_size_compute_no_canonical_form(self, monkeypatch):
         # a 12-cycle's canonical form takes far longer than its labelling, and

@@ -23,6 +23,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\[1\].*\[1, 2\]"):
             validate_clutter(2, _sets("1", "12"))
 
+    def test_first_contained_pair_named_in_member_order(self):
+        # [2] lies in [2, 4] and [1, 3] in [1, 2, 3]; the first by member order is named
+        with pytest.raises(ValueError) as err:
+            validate_clutter(5, _sets("123", "24", "13", "2"))
+        assert str(err.value) == "not an antichain: member [2] is contained in member [2, 4]"
+        with pytest.raises(ValueError) as err:
+            Clutter(3, (frozenset(), frozenset({1})))
+        assert str(err.value) == "not an antichain: member [] is contained in member [1]"
+
     def test_out_of_range_element(self):
         with pytest.raises(ValueError, match="element 5"):
             validate_clutter(4, _sets("15"))
