@@ -78,7 +78,9 @@ def blocker(c: Clutter) -> Clutter:
     - Sound pruning: an element with no private member keeps none in any
       superset.
     - Uniqueness: siblings differ in whether the earlier element is forbidden.
-    The empty clutter is rejected; the blocker of {{}} is the empty clutter.
+    The stack is explicit, so a transversal may be longer than the
+    interpreter's recursion limit.  The empty clutter is rejected; the
+    blocker of {{}} is the empty clutter.
     """
     if not c.members:
         raise ValueError("the blocker of the empty clutter is undefined")
@@ -90,22 +92,29 @@ def blocker(c: Clutter) -> Clutter:
             members[i] |= 1 << e
             hits[e] |= 1 << i
     found = []
-
-    def search(chosen: tuple[int, ...], private: list[int], unhit: int, forbidden: int) -> None:
-        if not unhit:
-            found.append(frozenset(chosen))
-            return
-        options = members[(unhit & -unhit).bit_length() - 1] & ~forbidden
-        while options:
-            low = options & -options
-            e = low.bit_length() - 1
-            kept = [p & ~hits[e] for p in private]
-            if all(kept):
-                search(chosen + (e,), kept + [unhit & hits[e]], unhit & ~hits[e], forbidden)
-            forbidden |= low
-            options ^= low
-
-    search((), [], (1 << len(members)) - 1, 0)
+    # One frame per set on the current path: [chosen, private, unhit,
+    # forbidden, options], where options are the elements of the first
+    # unhit member still to branch on, smallest first.
+    stack = [[(), [], (1 << len(members)) - 1, 0, members[0]]]
+    while stack:
+        frame = stack[-1]
+        chosen, private, unhit, forbidden, options = frame
+        if not options:
+            stack.pop()
+            continue
+        low = options & -options
+        e = low.bit_length() - 1
+        frame[3] = forbidden | low
+        frame[4] = options ^ low
+        kept = [p & ~hits[e] for p in private]
+        if not all(kept):
+            continue
+        rest = unhit & ~hits[e]
+        if not rest:
+            found.append(frozenset(chosen + (e,)))
+            continue
+        stack.append([chosen + (e,), kept + [unhit & hits[e]], rest, forbidden,
+                      members[(rest & -rest).bit_length() - 1] & ~forbidden])
     return Clutter(c.ground_size, tuple(found))
 
 

@@ -3,21 +3,24 @@ complete family of minimum distance-d dominating sets.
 
 Closed d-balls are precomputed as bitmasks.  Balls are symmetric, so the
 vertices that can dominate u are exactly the members of u's own ball.  The
-search is one depth-first branch-and-bound over these masks:
+search runs depth first over these masks, once per size s = 1, 2, ..., and
+stops at the first size with covers: that size is gamma, since a smaller
+cover would have been found at a smaller size.
 
-- At each node it takes the lowest uncovered vertex u and branches on each
-  member v of u's ball that is not forbidden; after the branch on v returns,
-  v is forbidden to the later siblings.  So every minimal cover lies below
-  exactly one branch, and every minimum set is minimal.
-- The best size starts at a greedy cover's size and drops whenever a smaller
-  cover turns up, which discards the covers collected so far.
-- A node is pruned when its chosen vertices plus a lower bound exceed the
-  best size.  The bound counts uncovered vertices whose non-forbidden
-  dominators are pairwise disjoint, since each needs a member of its own.  A
-  node is also pruned when some uncovered vertex has no dominator left.
+- A node is pruned when its chosen vertices plus a packing bound exceed s.
+  The bound counts uncovered vertices whose non-forbidden dominators are
+  pairwise disjoint, since each needs a member of its own.  A node is also
+  pruned when some uncovered vertex has no dominator left.
+- The same pass finds the uncovered vertex u with the fewest non-forbidden
+  dominators (the lowest on a tie).  The node branches on each of them, v,
+  in increasing order, and forbids v to the later siblings.
+- So each minimum set C is found exactly once: at every node on its path C
+  holds the chosen vertices and no forbidden one, passes both prunes, and
+  lies below the branch on the lowest member of C among u's dominators only.
 
-The collected covers are sorted as index tuples, so the minimum sets come out
-in lexicographic order.  Every search node counts against the work limit.
+The covers are sorted as index tuples, so the minimum sets come out in
+lexicographic order.  Every search node, at every size tried, counts against
+the work limit.
 """
 
 from __future__ import annotations
@@ -82,52 +85,36 @@ def is_distance_d_dominating(g: Graph, s, d: int) -> bool:
     return cover == (1 << g.n) - 1
 
 
-def _greedy_cover_size(balls: list[int], full: int) -> int:
-    """Size of the cover built by repeatedly taking the ball that covers the
-    most still-uncovered vertices: an upper bound on the domination number."""
-    covered = 0
-    size = 0
-    while covered != full:
-        covered |= max(balls, key=lambda ball: (ball & ~covered).bit_count())
-        size += 1
-    return size
-
-
 def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, ...]]:
     """Every minimum set of vertices whose balls cover `full`, as sorted index
-    tuples in lexicographic order.
-
-    Depth-first over the dominators of the lowest uncovered vertex; see the
-    module docstring for the branching rule and the bounds.  Each search
-    node counts against `limit`.  The stack is explicit, so the depth (up to
-    the greedy cover's size) is not bounded by the interpreter's recursion
+    tuples in lexicographic order (see the module docstring).  The stack is
+    explicit, so the depth is not bounded by the interpreter's recursion
     limit.
     """
-    best = _greedy_cover_size(balls, full)
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
     nodes = 0
+    size = 0
 
     def visit(covered: int, forbidden: int) -> int:
         """Count a node and record it if it is a cover; return the vertices
         to branch on, or 0 for a leaf or a pruned node."""
-        nonlocal best, nodes
+        nonlocal nodes
         nodes += 1
         if nodes > limit:
             raise WorkLimitExceeded("domination search work limit exceeded", nodes)
         if covered == full:
-            if len(chosen) < best:
-                best = len(chosen)
-                covers.clear()
             covers.append(tuple(sorted(chosen)))
             return 0
         allowed = ~forbidden
-        uncovered = full & ~covered
         # Lower bound: uncovered vertices whose remaining dominators are
-        # pairwise disjoint each need a member of their own.
+        # pairwise disjoint each need a member of their own.  Branch on the
+        # smallest remaining dominator set, the first one on a tie.
         bound = len(chosen)
         packed = 0
-        rest = uncovered
+        fewest = 0
+        fewest_count = len(balls) + 1
+        rest = full & ~covered
         while rest:
             low = rest & -rest
             dominators = balls[low.bit_length() - 1] & allowed
@@ -135,35 +122,40 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
                 return 0
             if not dominators & packed:
                 bound += 1
-                if bound > best:
+                if bound > size:
                     return 0
                 packed |= dominators
+            count = dominators.bit_count()
+            if count < fewest_count:
+                fewest, fewest_count = dominators, count
             rest ^= low
-        return balls[(uncovered & -uncovered).bit_length() - 1] & allowed
+        return fewest
 
-    # One frame per node on the current path that may still branch:
-    # [covered, forbidden, branches left].  chosen[i] is the vertex taken
-    # from frame i, so a leaf or pruned node never gets a frame.
-    stack = [[0, 0, visit(0, 0)]]
-    while stack:
-        frame = stack[-1]
-        covered, forbidden, options = frame
-        if not options:
-            stack.pop()
-            if chosen:
+    while not covers:
+        size += 1
+        # One frame per node on the current path that may still branch:
+        # [covered, forbidden, branches left].  chosen[i] is the vertex taken
+        # from frame i, so a leaf or pruned node never gets a frame.
+        stack = [[0, 0, visit(0, 0)]]
+        while stack:
+            frame = stack[-1]
+            covered, forbidden, options = frame
+            if not options:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            low = options & -options
+            frame[1] = forbidden | low
+            frame[2] = options ^ low
+            v = low.bit_length() - 1
+            chosen.append(v)
+            covered |= balls[v]
+            options = visit(covered, forbidden)
+            if options:
+                stack.append([covered, forbidden, options])
+            else:
                 chosen.pop()
-            continue
-        low = options & -options
-        frame[1] = forbidden | low
-        frame[2] = options ^ low
-        v = low.bit_length() - 1
-        chosen.append(v)
-        covered |= balls[v]
-        options = visit(covered, forbidden)
-        if options:
-            stack.append([covered, forbidden, options])
-        else:
-            chosen.pop()
     covers.sort()
     return covers
 

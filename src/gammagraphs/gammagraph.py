@@ -38,20 +38,20 @@ def tag_name(source: Graph, tag: frozenset[int]) -> str:
 def build_gamma_graph(g: Graph, d: int, work_limit: int | None = None) -> GammaGraph:
     """Construct the gamma-graph for distance parameter d.
 
-    Vertices appear in sorted tag order; edges follow the intersection rule
-    |A & B| == gamma - 1.
+    Vertices appear in the order of `min_sets` (lexicographic as sorted index
+    tuples); edges follow the intersection rule |A & B| == gamma - 1.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no gamma-graph")
     result = min_dominating_sets(g, d, work_limit=work_limit)
-    tags = sorted(result.min_sets, key=lambda s: tuple(sorted(s)))
+    tags = result.min_sets
     edges = []
     for i in range(len(tags)):
         for j in range(i + 1, len(tags)):
             if len(tags[i] & tags[j]) == result.gamma - 1:
                 edges.append((i, j))
     base = Graph.from_edges(len(tags), edges, tuple(tag_name(g, t) for t in tags))
-    return GammaGraph(base, tuple(tags), result.gamma, d)
+    return GammaGraph(base, tags, result.gamma, d)
 
 
 def same_gamma_graph(a: GammaGraph, b: GammaGraph) -> bool:
@@ -61,5 +61,5 @@ def same_gamma_graph(a: GammaGraph, b: GammaGraph) -> bool:
 
 def gamma_graph_to_json(source: Graph, gg: GammaGraph) -> dict:
     vertices = [sorted(source.names[v] for v in t) for t in gg.tags]
-    edges = sorted([i, j] for i, j in gg.base.edges())
+    edges = [[i, j] for i, j in gg.base.edges()]
     return {"gamma": gg.gamma, "d": gg.d, "vertices": vertices, "edges": edges}

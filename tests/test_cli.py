@@ -75,6 +75,13 @@ class TestBlocker:
         assert code == 0
         assert doc == {"n": 4, "members": [[1], [2], [3, 4]]}
 
+    def test_member_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps({"n": 1100, "members": [[e] for e in range(1, 1101)]}))
+        code, doc = _run_json(capsys, ["blocker", "--sets-file", str(path)])
+        assert code == 0
+        assert doc == {"n": 1100, "members": [list(range(1, 1101))]}
+
 
 @pytest.mark.parametrize("command", [["blocker"], ["realize", "--d", "1"]])
 @pytest.mark.parametrize(

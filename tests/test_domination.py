@@ -206,13 +206,23 @@ def test_work_limit_reported():
 
 
 def test_work_limit_counts_search_nodes():
-    # the branch-and-bound visits 20 nodes on the 9-cycle, each counted once
+    # the searches at sizes 1, 2 and 3 visit 21 nodes on the 9-cycle, each
+    # counted once
     g = make_family("cycle", 9)
-    result = min_dominating_sets(g, 1, work_limit=20)
+    result = min_dominating_sets(g, 1, work_limit=21)
     assert result.gamma == 3 and len(result.min_sets) == 3
     with pytest.raises(WorkLimitExceeded, match="work limit") as exc:
-        min_dominating_sets(g, 1, work_limit=19)
-    assert exc.value.examined == 20
+        min_dominating_sets(g, 1, work_limit=20)
+    assert exc.value.examined == 21
+
+
+def test_seven_by_seven_grid_within_a_small_budget():
+    # branching on the fewest remaining dominators settles the grid in a few
+    # thousand nodes; the lowest uncovered vertex needed over 100,000
+    edges = [(7 * r + c, 7 * r + c + 1) for r in range(7) for c in range(6)]
+    edges += [(7 * r + c, 7 * r + c + 7) for r in range(6) for c in range(7)]
+    result = min_dominating_sets(Graph.from_edges(49, edges), 1, work_limit=10_000)
+    assert result.gamma == 12 and len(result.min_sets) == 2
 
 
 @pytest.mark.parametrize("limit", [0, -5])
