@@ -45,15 +45,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import UnsupportedSizeError
 from .graphs import (
     Graph,
     canonical_form,
+    canonical_word,
     connected_components,
     induced_subgraph,
-    is_connected,
     parse_graph6,
     write_graph6,
 )
@@ -121,7 +122,7 @@ def _connected_words(n: int) -> tuple[str, ...]:
     kept because the invariant does not depend on the labelling.
     """
     if n == 1:
-        return (canonical_form(Graph.from_edges(1, [])).decode("ascii"),)
+        return (canonical_word(1, (0,)).decode("ascii"),)
     words: set[str] = set()
     for word in _connected_words(n - 1):
         g = parse_graph6(word)
@@ -132,8 +133,7 @@ def _connected_words(n: int) -> tuple[str, ...]:
                     adj[u] |= 1 << (n - 1)
             if not _largest_non_cut_vertex_is_last(adj):
                 continue
-            extended = Graph(n, tuple(adj), tuple(str(i + 1) for i in range(n)))
-            words.add(canonical_form(extended).decode("ascii"))
+            words.add(canonical_word(n, tuple(adj)).decode("ascii"))
     return tuple(sorted(words))
 
 
@@ -148,13 +148,14 @@ def _largest_non_cut_vertex_is_last(adj: list[int]) -> bool:
 
     last = invariant(n - 1)
     return not any(
-        degree[u] >= last[0] and invariant(u) > last and not _is_cut_vertex(adj, u)
+        degree[u] >= last[0] and invariant(u) > last and _connected_without(adj, u)
         for u in range(n - 1)
     )
 
 
-def _is_cut_vertex(adj: list[int], u: int) -> bool:
-    """Whether deleting u disconnects the connected graph `adj`."""
+def _connected_without(adj: Sequence[int], u: int) -> bool:
+    """Whether deleting u from the graph `adj` leaves it connected (a graph
+    with no vertices counts as connected)."""
     rest = ((1 << len(adj)) - 1) & ~(1 << u)
     reached = frontier = rest & -rest
     while frontier:
@@ -165,7 +166,19 @@ def _is_cut_vertex(adj: list[int], u: int) -> bool:
             frontier ^= low
         frontier = grown & rest & ~reached
         reached |= frontier
-    return reached != rest
+    return reached == rest
+
+
+def _connected_deletions(adj: tuple[int, ...]) -> Iterator[Masks]:
+    """The connected one-vertex deletions of the graph `adj`, in vertex
+    order, each as (vertex count, adjacency masks) with the vertices above
+    the deleted one shifted down by one."""
+    for v in range(len(adj)):
+        if _connected_without(adj, v):
+            below = (1 << v) - 1
+            yield len(adj) - 1, tuple(
+                (m & below) | ((m >> (v + 1)) << v) for u, m in enumerate(adj) if u != v
+            )
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
@@ -254,6 +267,10 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
 # when there is none).
 Record = tuple[str, tuple[int, bytes] | None]
 
+# A graph given by its vertex count and neighbour masks alone, with no Graph
+# built: the parts whose records a graph's record is read from.
+Masks = tuple[int, tuple[int, ...]]
+
 
 class _Records:
     """One record per isomorphism class, keyed by canonical form.
@@ -276,15 +293,18 @@ class _Records:
         self._unfiled.setdefault(g.n, []).append((g, record))
         self.orders.add(g.n)
 
-    def lookup(self, g: Graph) -> Record:
-        """The record of g's class, settling g on a miss."""
-        for h, record in self._unfiled.pop(g.n, ()):
+    def lookup(self, part: Masks) -> Record:
+        """The record of the class of the graph `part`, settling it on a
+        miss; only a miss builds its `Graph`."""
+        n, adj = part
+        for h, record in self._unfiled.pop(n, ()):
             self.by_form.setdefault(canonical_form(h), record)
-        form = canonical_form(g)
+        form = canonical_word(n, adj)
         record = self.by_form.get(form)
         if record is None:
+            g = Graph(n, adj, tuple(str(i + 1) for i in range(n)))
             record = self.by_form[form] = self.settle(g)[0]
-            self.orders.add(g.n)
+            self.orders.add(n)
         return record
 
     def settle(self, g: Graph) -> tuple[Record, Verdict | None, list[Record]]:
@@ -311,15 +331,14 @@ class _Records:
         return (own.status, witness), own, parts
 
 
-def _parts(g: Graph) -> list[Graph]:
+def _parts(g: Graph) -> list[Masks]:
     """The proper induced subgraphs whose records make up g's: its
     components if it is disconnected, else its connected deletions.  Every
     connected proper induced subgraph of g lies in one of them."""
     comps = connected_components(g)
     if len(comps) > 1:
-        return [induced_subgraph(g, comp) for comp in comps]
-    deletions = (induced_subgraph(g, [u for u in range(g.n) if u != v]) for v in range(g.n))
-    return [sub for sub in deletions if is_connected(sub)]
+        return [(len(comp), induced_subgraph(g, comp).adj) for comp in comps]
+    return list(_connected_deletions(g.adj))
 
 
 def _smallest_unlabellable_subset(g: Graph, witness: tuple[int, bytes]) -> tuple[int, ...]:
@@ -332,14 +351,35 @@ def _smallest_unlabellable_subset(g: Graph, witness: tuple[int, bytes]) -> tuple
     sequence is the witness's.
     """
     size, form = witness
-    degrees = sorted(mask.bit_count() for mask in parse_graph6(form.decode("ascii")).adj)
+    degrees = _degree_sequence(form)
     for subset in itertools.combinations(range(g.n), size):
         inside = sum(1 << v for v in subset)
         if sorted((g.adj[v] & inside).bit_count() for v in subset) != degrees:
             continue
-        if canonical_form(induced_subgraph(g, subset)) == form:
+        adj = tuple(
+            sum(1 << i for i, u in enumerate(subset) if (g.adj[v] >> u) & 1) for v in subset
+        )
+        if canonical_word(size, adj) == form:
             return subset
     raise AssertionError("no induced subgraph has the recorded witness form")
+
+
+def _degree_sequence(form: bytes) -> list[int]:
+    """The sorted degrees of the graph whose graph6 word is `form`, read
+    straight off its bits (see `graphs.write_graph6` for their order)."""
+    n = form[0] - 63
+    bits = 0
+    for byte in form[1:]:
+        bits = (bits << 6) | (byte - 63)
+    pos = 6 * (len(form) - 1)
+    degree = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if (bits >> pos) & 1:
+                degree[i] += 1
+                degree[j] += 1
+    return sorted(degree)
 
 
 def is_minimally_unlabellable(

@@ -396,17 +396,24 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     return bytes(word)
 
 
+def canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
+    """`canonical_form` of the graph on vertices 0..n-1 with neighbour masks
+    `adj`, for callers that hold the masks without a `Graph`.  The masks are
+    taken as they are: symmetric, loop-free and inside the vertex range."""
+    if n > CANONICAL_FORM_MAX_VERTICES:
+        raise UnsupportedSizeError(
+            f"canonical form supports at most {CANONICAL_FORM_MAX_VERTICES} vertices, got {n}"
+        )
+    return _canonical_word(n, adj)
+
+
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: the graph6 word of the minimal relabelling.
 
     Two graphs get equal forms iff they are isomorphic.  Supported for
     n <= CANONICAL_FORM_MAX_VERTICES.
     """
-    if g.n > CANONICAL_FORM_MAX_VERTICES:
-        raise UnsupportedSizeError(
-            f"canonical form supports at most {CANONICAL_FORM_MAX_VERTICES} vertices, got {g.n}"
-        )
-    return _canonical_word(g.n, g.adj)
+    return canonical_word(g.n, g.adj)
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

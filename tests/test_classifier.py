@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from gammagraphs import (
     are_isomorphic,
     canonical_form,
     induced_subgraph,
+    is_connected,
     is_valid_labelling,
     make_family,
     parse_graph6,
@@ -39,7 +41,8 @@ from gammagraphs.fixtures import (
     minimal_unlabellable_six,
 )
 
-from helpers import all_graphs_on, reference_classification, reference_witness
+from gammagraphs.graphs import canonical_word
+from helpers import all_graphs_on, random_graph, reference_classification, reference_witness
 
 BUDGET = SearchBudget(k_max=6)
 
@@ -56,8 +59,6 @@ class TestEnumeration:
             assert len(enumerate_connected_graphs(n)) == count
 
     def test_representatives_are_canonical_and_sorted(self):
-        from gammagraphs import is_connected
-
         graphs = enumerate_connected_graphs(5)
         words = [write_graph6(g) for g in graphs]
         assert words == sorted(words)
@@ -67,8 +68,6 @@ class TestEnumeration:
     def test_exhaustive_filter_self_check(self):
         # independent route: filter all labelled graphs for connectivity,
         # dedupe by canonical form, compare with the augmentation output
-        from gammagraphs import is_connected
-
         for n in range(1, 6):
             brute = {canonical_form(g) for g in all_graphs_on(n) if is_connected(g) and g.n == n}
             fast = {canonical_form(g) for g in enumerate_connected_graphs(n)}
@@ -88,14 +87,14 @@ class TestEnumeration:
 
     def test_canonical_forms_computed_by_enumeration(self, monkeypatch):
         # only children whose new vertex is a largest non-cut vertex get a form
-        real = classify_module.canonical_form
+        real = classify_module.canonical_word
         calls = []
 
-        def counting(g):
-            calls.append(g.n)
-            return real(g)
+        def counting(n, adj):
+            calls.append(n)
+            return real(n, adj)
 
-        monkeypatch.setattr(classify_module, "canonical_form", counting)
+        monkeypatch.setattr(classify_module, "canonical_word", counting)
         counts = []
         for _ in range(2):
             calls.clear()
@@ -103,6 +102,21 @@ class TestEnumeration:
             classify_module._connected_words(7)
             counts.append(len(calls))
         assert counts == [1699, 1699]
+
+    def test_connected_deletions_match_induced_subgraphs(self):
+        rng = random.Random(5)
+        graphs = [make_family("path", 6), make_family("complete_bipartite", 1, 5)]
+        for n in range(10):
+            for p in (0.2, 0.5, 0.8):
+                graphs += [random_graph(rng, n, p) for _ in range(4)]
+        assert any(not is_connected(g) for g in graphs) and any(is_connected(g) for g in graphs)
+        for g in graphs:
+            deletions = (induced_subgraph(g, [u for u in range(g.n) if u != v]) for v in range(g.n))
+            expected = [sub for sub in deletions if is_connected(sub)]
+            got = list(classify_module._connected_deletions(g.adj))
+            assert got == [(sub.n, sub.adj) for sub in expected], write_graph6(g)
+            for (n, adj), sub in zip(got, expected):
+                assert canonical_word(n, adj) == canonical_form(sub)
 
     def test_out_of_range(self):
         with pytest.raises(UnsupportedSizeError, match="graph6"):

@@ -19,6 +19,7 @@ from gammagraphs import (
     write_graph6,
 )
 from gammagraphs.fixtures import domination_demo_graph
+from gammagraphs.graphs import canonical_word
 
 from helpers import all_graphs_on, random_graph
 
@@ -218,6 +219,13 @@ class TestCanonicalForm:
         with pytest.raises(UnsupportedSizeError):
             canonical_form(make_family("path", 17))
         canonical_form(make_family("path", 16))  # boundary accepted
+
+    def test_word_size_limit(self):
+        with pytest.raises(UnsupportedSizeError):
+            canonical_word(17, make_family("path", 17).adj)
+        assert canonical_word(16, make_family("path", 16).adj) == canonical_form(
+            make_family("path", 16)
+        )
 
 
 class TestFamilies:
