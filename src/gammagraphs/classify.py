@@ -9,12 +9,12 @@ exhaustion surfaces as an explicit "undecided" status rather than a verdict.
 
 A run never proves twice what it already knows.  It keeps one record per
 isomorphism class, keyed by canonical form (`_Records`): the class's own
-status, and its witness, the least (size, form) among its induced subgraphs
-decided unlabellable, itself included.  A graph's record comes from the
-records of its connected deletions, by this lemma: every connected proper
-induced subgraph W of a connected graph g lies in a connected deletion.  Grow
-a spanning tree of g out from a spanning tree of W; it has a leaf v outside
-W, so g - v is connected and contains W.
+status, and its witness, the least canonical form among its induced
+subgraphs decided unlabellable, itself included (forms order by size first).
+A graph's record comes from the records of its connected deletions, by this
+lemma: every connected proper induced subgraph W of a connected graph g lies
+in a connected deletion.  Grow a spanning tree of g out from a spanning tree
+of W; it has a leaf v outside W, so g - v is connected and contains W.
 
 - **The witness is the least of the deletions' witnesses.**  A smallest
   unlabellable induced subgraph is connected (a component of a disconnected
@@ -79,18 +79,23 @@ ENUMERATION_MAX_VERTICES = 7
 
 @dataclass(frozen=True)
 class Verdict:
-    """Per-graph outcome; k_bound is the k_max the verdict is relative to."""
+    """Per-graph outcome; k_bound is the k_max the verdict is relative to.
+    A nonminimal verdict's witness is a vertex tuple, and witness_form the
+    canonical form of the subgraph it induces."""
 
     status: str
     k_bound: int
     labelling: Labelling | None = None
     witness: tuple[int, ...] | None = None
+    witness_form: bytes | None = None
 
     def __post_init__(self):
         if self.status == LABELLABLE and self.labelling is None:
             raise ValueError("labellable verdicts must carry a labelling")
-        if self.status == UNLABELLABLE_NONMINIMAL and self.witness is None:
-            raise ValueError("nonminimal verdicts must carry a witness")
+        if self.status == UNLABELLABLE_NONMINIMAL and (
+            self.witness is None or self.witness_form is None
+        ):
+            raise ValueError("nonminimal verdicts must carry a witness and its form")
 
 
 @dataclass(frozen=True)
@@ -235,9 +240,9 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
     the node budget ran out first.
     """
     budget = budget or SearchBudget()
+    k_bound = budget.k_bound(g)
     if g.n == 0:
-        return Verdict(LABELLABLE, budget.resolve(g)[0], Labelling(1, ()))
-    k_bound = budget.resolve(g)[0]
+        return Verdict(LABELLABLE, k_bound, Labelling(1, ()))
     parts = []
     for comp in connected_components(g):
         sub = induced_subgraph(g, comp)
@@ -262,10 +267,11 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
     return Verdict(LABELLABLE, k_bound, combined)
 
 
-# A class's record: its own status, and the least (size, canonical form)
-# among its induced subgraphs decided unlabellable, itself included (None
-# when there is none).
-Record = tuple[str, tuple[int, bytes] | None]
+# A class's record: its own status, and the least canonical form among its
+# induced subgraphs decided unlabellable, itself included (None when there is
+# none).  A form's first byte is 63 + its vertex count, so the least form is
+# also one of the smallest.
+Record = tuple[str, bytes | None]
 
 # A graph given by its vertex count and neighbour masks alone, with no Graph
 # built: the parts whose records a graph's record is read from.
@@ -327,7 +333,7 @@ class _Records:
         if own is None:
             own = decide_labellable(g, self.budget)
         if own.status == UNLABELLABLE:
-            witness = (g.n, canonical_form(g))
+            witness = canonical_form(g)
         return (own.status, witness), own, parts
 
 
@@ -341,16 +347,16 @@ def _parts(g: Graph) -> list[Masks]:
     return list(_connected_deletions(g.adj))
 
 
-def _smallest_unlabellable_subset(g: Graph, witness: tuple[int, bytes]) -> tuple[int, ...]:
+def _smallest_unlabellable_subset(g: Graph, form: bytes) -> tuple[int, ...]:
     """The first vertex subset, in lexicographic order, whose induced
-    subgraph has the recorded witness's size and form.
+    subgraph has the recorded witness form.
 
-    The record holds the least (size, form) among g's induced subgraphs
-    decided unlabellable, so this is the least (form, vertex tuple) among the
+    The record holds the least form among g's induced subgraphs decided
+    unlabellable, so this is the least (form, vertex tuple) among the
     smallest of them.  A subset gets a canonical form only when its degree
     sequence is the witness's.
     """
-    size, form = witness
+    size = form[0] - 63
     degrees = _degree_sequence(form)
     for subset in itertools.combinations(range(g.n), size):
         inside = sum(1 << v for v in subset)
@@ -398,13 +404,16 @@ def is_minimally_unlabellable(
     record, own, parts = records.settle(g)
     records.keep(g, record)
     witness = record[1]
-    k_bound = budget.resolve(g)[0]
+    k_bound = budget.k_bound(g)
     if witness is None:
         assert own is not None
         return own
-    if witness[0] < g.n:
+    if witness[0] - 63 < g.n:
         return Verdict(
-            UNLABELLABLE_NONMINIMAL, k_bound, witness=_smallest_unlabellable_subset(g, witness)
+            UNLABELLABLE_NONMINIMAL,
+            k_bound,
+            witness=_smallest_unlabellable_subset(g, witness),
+            witness_form=witness,
         )
     if all(status == LABELLABLE for status, _ in parts):
         return Verdict(MINIMALLY_UNLABELLABLE, k_bound)
@@ -442,10 +451,8 @@ def verdict_to_json(g: Graph, verdict: Verdict) -> dict:
     doc: dict = {"status": verdict.status, "k_bound": verdict.k_bound}
     if verdict.labelling is not None:
         doc["labelling"] = labelling_to_json(g, verdict.labelling)
-    if verdict.witness is not None:
-        doc["witness_graph6"] = canonical_form(induced_subgraph(g, verdict.witness)).decode(
-            "ascii"
-        )
+    if verdict.witness_form is not None:
+        doc["witness_graph6"] = verdict.witness_form.decode("ascii")
     return doc
 
 

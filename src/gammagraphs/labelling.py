@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WorkLimitExceeded
-from .graphs import Graph, cartesian_product, induced_subgraph, is_connected
+from .graphs import Graph, cartesian_product, induced_subgraph
 
 DEFAULT_NODE_LIMIT = 10**8
 
@@ -80,8 +80,9 @@ class SearchBudget:
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
 
-    def resolve(self, g: Graph) -> tuple[int, int]:
-        return (self.k_max if self.k_max is not None else max(2, g.n), self.node_limit)
+    def k_bound(self, g: Graph) -> int:
+        """The largest label size searched on g."""
+        return self.k_max if self.k_max is not None else max(2, g.n)
 
 
 @dataclass(frozen=True)
@@ -217,27 +218,29 @@ def _search_order(g: Graph):
     return order, parent_pos, adj_pos, p3_pair
 
 
-def _search_fixed_k(
-    g: Graph,
-    k: int,
-    order,
-    parent_pos,
-    adj_pos,
-    p3_pair,
-    counter: list[int],
-    node_limit: int,
-    use_rule: bool,
-) -> list[int] | None:
-    """Complete DFS over normalized labellings with exactly k symbols per
-    label.  Returns position-aligned label bitmasks, or None if none exist;
-    raises WorkLimitExceeded once `counter` passes `node_limit`."""
+def find_labelling(
+    g: Graph, budget: SearchBudget | None = None, *, use_induced_path_rule: bool = True
+) -> SearchOutcome:
+    """Search label sizes k = 1..k_max in turn; the first success is returned
+    (so the found k is minimal).  A connected input is required.
+
+    Each k runs a complete DFS over normalized labellings whose labels are
+    bitmasks of exactly k symbols; `nodes` counts candidate labels tested
+    across every k.
+    """
+    if g.n == 0:
+        raise ValueError("cannot search the empty graph")
+    budget = budget or SearchBudget()
+    k_max = budget.k_bound(g)
+    order, parent_pos, adj_pos, p3_pair = _search_order(g)
     n = g.n
     labels = [0] * n
-    labels[0] = (1 << k) - 1
+    nodes = 0
+    # `candidates` and `rec` read the label size k of the loop below.
 
     def candidates(pos: int, used: int) -> list[int]:
         pair = p3_pair[pos]
-        if use_rule and pair is not None and k >= 2:
+        if use_induced_path_rule and pair is not None and k >= 2:
             la, lb = labels[pair[0]], labels[pair[1]]
             t = la & lb
             if t.bit_count() != k - 2:
@@ -269,13 +272,14 @@ def _search_fixed_k(
         return out
 
     def rec(pos: int, used: int) -> bool:
+        nonlocal nodes
         if pos == n:
             return True
         amask = adj_pos[pos]
         for cand in sorted(candidates(pos, used), key=_mask_key):
-            counter[0] += 1
-            if counter[0] > node_limit:
-                raise WorkLimitExceeded("labelling search work limit exceeded", counter[0])
+            nodes += 1
+            if nodes > budget.node_limit:
+                raise WorkLimitExceeded("labelling search work limit exceeded", nodes)
             ok = True
             for j in range(pos):
                 inter = (cand & labels[j]).bit_count()
@@ -293,36 +297,18 @@ def _search_fixed_k(
                 return True
         return False
 
-    if rec(1, k):
-        return labels
-    return None
-
-
-def find_labelling(
-    g: Graph, budget: SearchBudget | None = None, *, use_induced_path_rule: bool = True
-) -> SearchOutcome:
-    """Search label sizes k = 1..k_max in turn; the first success is returned
-    (so the found k is minimal).  A connected input is required."""
-    if g.n == 0:
-        raise ValueError("cannot search the empty graph")
-    if not is_connected(g):
-        raise ValueError("labelling search requires a connected graph")
-    k_max, node_limit = (budget or SearchBudget()).resolve(g)
-    order, parent_pos, adj_pos, p3_pair = _search_order(g)
-    counter = [0]
     for k in range(1, k_max + 1):
+        labels[0] = (1 << k) - 1
         try:
-            masks = _search_fixed_k(
-                g, k, order, parent_pos, adj_pos, p3_pair, counter, node_limit, use_induced_path_rule
-            )
+            found = rec(1, k)
         except WorkLimitExceeded:
-            return SearchOutcome("budget_exhausted", None, k, counter[0])
-        if masks is not None:
-            by_vertex = [frozenset()] * g.n
+            return SearchOutcome("budget_exhausted", None, k, nodes)
+        if found:
+            by_vertex = [frozenset()] * n
             for pos, v in enumerate(order):
-                by_vertex[v] = _mask_to_set(masks[pos])
-            return SearchOutcome("found", Labelling(k, tuple(by_vertex)), k, counter[0])
-    return SearchOutcome("absent_up_to_k", None, k_max, counter[0])
+                by_vertex[v] = _mask_to_set(labels[pos])
+            return SearchOutcome("found", Labelling(k, tuple(by_vertex)), k, nodes)
+    return SearchOutcome("absent_up_to_k", None, k_max, nodes)
 
 
 def with_common_symbol(lab: Labelling, symbol: int | None = None) -> Labelling:

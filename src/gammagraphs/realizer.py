@@ -152,12 +152,10 @@ class VerificationReport:
         return self.ok
 
 
-def verify_realization(
-    realized: RealizedGraph, family: Clutter, work_limit: int | None = None
-) -> VerificationReport:
+def verify_realization(realized: RealizedGraph, family: Clutter) -> VerificationReport:
     """Exhaustively enumerate the realized graph's minimum dominating sets and
     compare them (through the recorded relabelling) with the family."""
-    result = min_dominating_sets(realized.graph, realized.d, work_limit=work_limit)
+    result = min_dominating_sets(realized.graph, realized.d)
     back = realized.core_symbol_to_original()
     expected = family.member_sets()
     found_ok: set[frozenset[int]] = set()

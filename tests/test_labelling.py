@@ -98,6 +98,22 @@ class TestSearch:
         assert out.status == "budget_exhausted"
         assert 1 <= out.k <= 6 and out.nodes >= 5
 
+    @pytest.mark.parametrize(
+        "graph, k_max, nodes, status",
+        [
+            (make_family("complete_bipartite", 2, 3), 6, 763, "absent_up_to_k"),
+            (make_family("cycle", 5), 2, 18, "found"),
+        ],
+        ids=["k23", "c5"],
+    )
+    def test_node_limit_counts_candidate_labels(self, graph, k_max, nodes, status):
+        # every candidate label tested is counted once, across all k, and
+        # the one that passes the limit is counted too
+        out = find_labelling(graph, SearchBudget(k_max=k_max, node_limit=nodes))
+        assert (out.status, out.k, out.nodes) == (status, k_max, nodes)
+        out = find_labelling(graph, SearchBudget(k_max=k_max, node_limit=nodes - 1))
+        assert (out.status, out.k, out.nodes) == ("budget_exhausted", k_max, nodes)
+
     def test_deterministic(self):
         g = make_family("prism", 3)
         a = find_labelling(g, SearchBudget(k_max=5))
