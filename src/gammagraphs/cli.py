@@ -13,13 +13,13 @@ import json
 import sys
 
 from .classify import classify, enumerate_connected_graphs, report_summary, report_to_json
-from .clutters import clutter_from_json, clutter_to_json, validate_clutter
-from .domination import DEFAULT_WORK_LIMIT, min_dominating_sets, result_to_json
-from .errors import UnsupportedSizeError, WorkLimitExceeded
+from .clutters import blocker, clutter_from_json, clutter_to_json, validate_clutter
+from .domination import min_dominating_sets, result_to_json
+from .errors import DEFAULT_NODE_LIMIT, UnsupportedSizeError, WorkLimitExceeded
 from .fixtures import run_fixture_checks
 from .gammagraph import build_gamma_graph, gamma_graph_to_json
 from .graphs import make_family, parse_graph6, read_graph6_lines, write_graph6
-from .labelling import DEFAULT_NODE_LIMIT, SearchBudget, find_labelling, outcome_to_json
+from .labelling import SearchBudget, find_labelling, outcome_to_json
 from .realizer import realize, realized_to_json, verify_realization
 
 EXIT_OK = 0
@@ -88,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="domination number and all minimum sets")
     p.add_argument("--d", type=int, required=True)
     _add_graph_source(p)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_WORK_LIMIT)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--out")
 
     p = sub.add_parser("gammagraph", help="build the gamma-graph")
     p.add_argument("--d", type=int, required=True)
     _add_graph_source(p)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_WORK_LIMIT)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--out")
 
     p = sub.add_parser("realize", help="graph whose minimum dominating sets are the given family")
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_gamma(args) -> int:
     docs = [
-        result_to_json(g, min_dominating_sets(g, args.d, work_limit=args.node_limit))
+        result_to_json(g, min_dominating_sets(g, args.d, node_limit=args.node_limit))
         for g in _input_graphs(args)
     ]
     _emit(docs[0] if args.graph6 else docs, args.out)
@@ -145,7 +145,7 @@ def _run_gamma(args) -> int:
 def _run_gammagraph(args) -> int:
     docs = []
     for g in _input_graphs(args):
-        gg = build_gamma_graph(g, args.d, work_limit=args.node_limit)
+        gg = build_gamma_graph(g, args.d, node_limit=args.node_limit)
         docs.append(gamma_graph_to_json(g, gg))
     _emit(docs[0] if args.graph6 else docs, args.out)
     return EXIT_OK
@@ -166,9 +166,7 @@ def _run_realize(args) -> int:
 
 
 def _run_blocker(args) -> int:
-    from .clutters import blocker as blocker_of
-
-    _emit(clutter_to_json(blocker_of(_input_family(args))), args.out)
+    _emit(clutter_to_json(blocker(_input_family(args))), args.out)
     return EXIT_OK
 
 

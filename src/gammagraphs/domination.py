@@ -20,17 +20,15 @@ cover would have been found at a smaller size.
 
 The covers are sorted as index tuples, so the minimum sets come out in
 lexicographic order.  Every search node, at every size tried, counts against
-the work limit.
+the node limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WorkLimitExceeded
+from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
 from .graphs import Graph
-
-DEFAULT_WORK_LIMIT = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -160,28 +158,20 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
     return covers
 
 
-def _resolve_work_limit(work_limit: int | None) -> int:
-    """None means the default; anything below 1 is an error, not a default."""
-    if work_limit is None:
-        return DEFAULT_WORK_LIMIT
-    if work_limit < 1:
-        raise ValueError("work_limit must be >= 1")
-    return work_limit
-
-
-def domination_number(g: Graph, d: int, work_limit: int | None = None) -> int:
+def domination_number(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
     """Minimum cardinality of a distance-d dominating set."""
     if g.n == 0:
         raise ValueError("domination number of the empty graph is undefined")
-    return min_dominating_sets(g, d, work_limit).gamma
+    return min_dominating_sets(g, d, node_limit).gamma
 
 
-def min_dominating_sets(g: Graph, d: int, work_limit: int | None = None) -> DominationResult:
+def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) -> DominationResult:
     """The complete family of minimum distance-d dominating sets."""
     if g.n == 0:
         raise ValueError("the empty graph has no dominating sets")
-    limit = _resolve_work_limit(work_limit)
-    covers = _minimum_covers(distance_balls(g, d), (1 << g.n) - 1, limit)
+    if node_limit < 1:
+        raise ValueError("node_limit must be >= 1")
+    covers = _minimum_covers(distance_balls(g, d), (1 << g.n) - 1, node_limit)
     return DominationResult(d, len(covers[0]), tuple(frozenset(c) for c in covers))
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the search node limit shared across the package."""
 
 from __future__ import annotations
 
@@ -16,6 +16,10 @@ class GraphFormatError(ValueError):
 
 class UnsupportedSizeError(ValueError):
     """Raised when a graph is too large for the requested operation."""
+
+
+# Search nodes an exhaustive search (domination or labelling) may visit.
+DEFAULT_NODE_LIMIT = 10**8
 
 
 class WorkLimitExceeded(RuntimeError):

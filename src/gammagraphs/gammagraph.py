@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domination import min_dominating_sets
+from .errors import DEFAULT_NODE_LIMIT
 from .graphs import Graph
 
 
@@ -35,7 +36,7 @@ def tag_name(source: Graph, tag: frozenset[int]) -> str:
     return ",".join(names)
 
 
-def build_gamma_graph(g: Graph, d: int, work_limit: int | None = None) -> GammaGraph:
+def build_gamma_graph(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) -> GammaGraph:
     """Construct the gamma-graph for distance parameter d.
 
     Vertices appear in the order of `min_sets` (lexicographic as sorted index
@@ -43,7 +44,7 @@ def build_gamma_graph(g: Graph, d: int, work_limit: int | None = None) -> GammaG
     """
     if g.n == 0:
         raise ValueError("the empty graph has no gamma-graph")
-    result = min_dominating_sets(g, d, work_limit=work_limit)
+    result = min_dominating_sets(g, d, node_limit)
     tags = result.min_sets
     edges = []
     for i in range(len(tags)):

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WorkLimitExceeded
+from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
 from .graphs import Graph, cartesian_product, induced_subgraph
-
-DEFAULT_NODE_LIMIT = 10**8
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import pytest
 
-from gammagraphs import make_family, write_graph6
-from gammagraphs.cli import run
+from gammagraphs import SearchBudget, make_family, min_dominating_sets, write_graph6
+from gammagraphs.cli import build_parser, run
+from gammagraphs.errors import DEFAULT_NODE_LIMIT
 from gammagraphs.fixtures import domination_demo_graph
 
 DEMO_WORD = write_graph6(domination_demo_graph())
@@ -37,7 +39,7 @@ class TestGamma:
         code = run(["gamma", "--d", "1", "--graph6", "FhNGW", "--node-limit", limit])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "work_limit" in captured.err
+        assert captured.out == "" and "node_limit" in captured.err
 
 
 class TestGammaGraph:
@@ -47,6 +49,15 @@ class TestGammaGraph:
         assert doc["gamma"] == 2
         assert doc["vertices"] == [["1", "5"], ["2", "5"], ["3", "6"], ["4", "6"], ["5", "6"]]
         assert len(doc["edges"]) == 6
+
+    def test_node_limit_exhaustion_exit_code(self, capsys):
+        # cycle(9): the searches at sizes 1, 2 and 3 visit 21 nodes
+        argv = ["gammagraph", "--d", "1", "--graph6", "HhCGGE@", "--node-limit"]
+        assert run(argv + ["20"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "21 nodes examined" in captured.err
+        code, doc = _run_json(capsys, argv + ["21"])
+        assert code == 0 and doc["gamma"] == 3 and len(doc["vertices"]) == 3
 
 
 class TestRealize:
@@ -180,6 +191,23 @@ class TestFixturesCommand:
         code, doc = _run_json(capsys, ["verify-fixtures", "--seed", "7"])
         assert code == 0
         assert all(check["ok"] for check in doc["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--d", "1", "--graph6", "A_"],
+        ["gammagraph", "--d", "1", "--graph6", "A_"],
+        ["label", "--graph6", "A_"],
+        ["classify", "--max-n", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_node_limit_default(argv):
+    assert build_parser().parse_args(argv).node_limit == DEFAULT_NODE_LIMIT
+    assert SearchBudget().node_limit == DEFAULT_NODE_LIMIT
+    default = inspect.signature(min_dominating_sets).parameters["node_limit"].default
+    assert default == DEFAULT_NODE_LIMIT
 
 
 class TestDeterminismAndOutput:

@@ -151,7 +151,7 @@ class TestClosedForms:
     def test_relabelled_cycle_forty_distance_two(self):
         # the five tilings of the cycle by 5-vertex balls
         result = min_dominating_sets(
-            _relabelled(make_family("cycle", 40), 7), 2, work_limit=5_000_000
+            _relabelled(make_family("cycle", 40), 7), 2, node_limit=5_000_000
         )
         assert result.gamma == 8 and len(result.min_sets) == 5
 
@@ -201,7 +201,7 @@ def test_empty_graph_rejected():
 def test_work_limit_reported():
     g = make_family("prism", 6)
     with pytest.raises(WorkLimitExceeded) as exc:
-        min_dominating_sets(g, 1, work_limit=5)
+        min_dominating_sets(g, 1, node_limit=5)
     assert exc.value.examined > 5
 
 
@@ -209,10 +209,10 @@ def test_work_limit_counts_search_nodes():
     # the searches at sizes 1, 2 and 3 visit 21 nodes on the 9-cycle, each
     # counted once
     g = make_family("cycle", 9)
-    result = min_dominating_sets(g, 1, work_limit=21)
+    result = min_dominating_sets(g, 1, node_limit=21)
     assert result.gamma == 3 and len(result.min_sets) == 3
     with pytest.raises(WorkLimitExceeded, match="work limit") as exc:
-        min_dominating_sets(g, 1, work_limit=20)
+        min_dominating_sets(g, 1, node_limit=20)
     assert exc.value.examined == 21
 
 
@@ -221,17 +221,17 @@ def test_seven_by_seven_grid_within_a_small_budget():
     # thousand nodes; the lowest uncovered vertex needed over 100,000
     edges = [(7 * r + c, 7 * r + c + 1) for r in range(7) for c in range(6)]
     edges += [(7 * r + c, 7 * r + c + 7) for r in range(6) for c in range(7)]
-    result = min_dominating_sets(Graph.from_edges(49, edges), 1, work_limit=10_000)
+    result = min_dominating_sets(Graph.from_edges(49, edges), 1, node_limit=10_000)
     assert result.gamma == 12 and len(result.min_sets) == 2
 
 
 @pytest.mark.parametrize("limit", [0, -5])
 def test_work_limit_below_one_rejected(limit):
     g = domination_demo_graph()
-    with pytest.raises(ValueError, match="work_limit"):
-        min_dominating_sets(g, 1, work_limit=limit)
-    with pytest.raises(ValueError, match="work_limit"):
-        domination_number(g, 1, work_limit=limit)
+    with pytest.raises(ValueError, match="node_limit"):
+        min_dominating_sets(g, 1, node_limit=limit)
+    with pytest.raises(ValueError, match="node_limit"):
+        domination_number(g, 1, node_limit=limit)
 
 
 def test_json_rendering_sorted_by_name():

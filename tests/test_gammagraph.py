@@ -4,6 +4,7 @@ import pytest
 
 from gammagraphs import (
     Labelling,
+    WorkLimitExceeded,
     build_gamma_graph,
     is_valid_labelling,
     make_family,
@@ -102,6 +103,16 @@ def test_json_document():
     assert doc["vertices"] == [["2"], ["3"], ["5"], ["6"], ["7"]]
     assert doc["edges"] == sorted(doc["edges"])
     assert all(i < j for i, j in doc["edges"])
+
+
+def test_node_limit_counts_domination_nodes():
+    # the domination searches at sizes 1, 2 and 3 visit 21 nodes on the 9-cycle
+    g = make_family("cycle", 9)
+    with pytest.raises(WorkLimitExceeded) as exc:
+        build_gamma_graph(g, 1, node_limit=20)
+    assert exc.value.examined == 21
+    gg = build_gamma_graph(g, 1, node_limit=21)
+    assert gg.gamma == 3 and gg.base.n == 3
 
 
 def test_empty_graph_rejected():
