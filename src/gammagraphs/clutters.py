@@ -41,10 +41,34 @@ class Clutter:
 
 
 def _check_antichain(ground_size: int, members) -> None:
-    for m in members:
+    """Raise ValueError naming the first out-of-range element, or else the
+    first member (in member order) that lies in a later one.
+
+    has[e] is the bitmask of the members containing e.  The members inside b
+    are those with no element outside b, all & ~OR(has[e] for e not in b);
+    b is the only one exactly when no member lies in b.  That takes
+    O(members * elements used) big-integer operations instead of O(members²),
+    and the pairwise scan runs only to name the pair once one is known.
+    """
+    has: dict[int, int] = {}
+    for i, m in enumerate(members):
+        bit = 1 << i
         for e in m:
             if not (1 <= e <= ground_size):
                 raise ValueError(f"element {e} outside ground set [1..{ground_size}]")
+            has[e] = has.get(e, 0) | bit
+    full = (1 << len(members)) - 1
+    items = list(has.items())
+    for i, m in enumerate(members):
+        outside = 0
+        for e, h in items:
+            if e not in m:
+                outside |= h
+        if full & ~outside != 1 << i:
+            _raise_first_contained_pair(members)
+
+
+def _raise_first_contained_pair(members) -> None:
     # members are sorted by size and distinct, so a member can lie only in a
     # later, strictly larger one: that order finds the first offending pair
     masks = [sum(1 << e for e in m) for m in members]

@@ -22,6 +22,48 @@ def _default_names(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
+def _masks_valid(n: int, adj: tuple[int, ...]) -> bool:
+    """Whether the masks stay in range, have no self-loop and are symmetric.
+
+    Each neighbour u above v must list v, which maps the bits above the
+    diagonal one-to-one onto bits below it; equal totals make that map onto,
+    so every bit has its mirror.  Each edge is walked once.
+    """
+    full = (1 << n) - 1
+    upper = total = 0
+    for v, mask in enumerate(adj):
+        if mask & ~full or (mask >> v) & 1:
+            return False
+        bit = 1 << v
+        above = mask >> (v + 1)
+        upper += above.bit_count()
+        total += mask.bit_count()
+        rest = above << (v + 1)
+        while rest:
+            low = rest & -rest
+            if not adj[low.bit_length() - 1] & bit:
+                return False
+            rest ^= low
+    return 2 * upper == total
+
+
+def _raise_first_invalid_mask(n: int, adj: tuple[int, ...]) -> None:
+    """Raise ValueError naming the first fault in vertex order: a mask out of
+    range, a self-loop, or a neighbour that does not list the vertex back."""
+    full = (1 << n) - 1
+    for v, mask in enumerate(adj):
+        if mask & ~full:
+            raise ValueError(f"adjacency mask of vertex {v} leaves the vertex range")
+        if (mask >> v) & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+        rest = mask
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not (adj[u] >> v) & 1:
+                raise ValueError(f"adjacency is not symmetric at ({v},{u})")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph (no loops, no multi-edges)."""
@@ -37,18 +79,8 @@ class Graph:
             raise ValueError("adjacency and name tuples must have length n")
         if len(set(self.names)) != self.n:
             raise ValueError("vertex names must be pairwise distinct")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
-            if mask & ~full:
-                raise ValueError(f"adjacency mask of vertex {v} leaves the vertex range")
-            if (mask >> v) & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            rest = mask
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if not (self.adj[u] >> v) & 1:
-                    raise ValueError(f"adjacency is not symmetric at ({v},{u})")
+        if not _masks_valid(self.n, self.adj):
+            _raise_first_invalid_mask(self.n, self.adj)
 
     @staticmethod
     def from_edges(n: int, edges, names: tuple[str, ...] | None = None) -> "Graph":

@@ -8,11 +8,15 @@ of B, each carrying a pendant path of length d-1.  Any dominating set must
 hit every blocker member (to reach the path tips), and no minimum set ever
 uses a gadget vertex, so the minimum sets are the blocker of the blocker --
 the original family.
+
+The relabelling and the blocker are computed once per family: `realize` and
+`construction_size` share them through a one-entry cache, so a `realize`
+command that also reports the closed-form size dualises its family once.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,13 +63,19 @@ def _common_member_size(family: Clutter) -> int:
     return k
 
 
-def _relabelled(family: Clutter) -> tuple[Clutter, tuple[tuple[int, int], ...]]:
+@functools.lru_cache(maxsize=1)
+def _dualised(family: Clutter) -> tuple[Clutter, tuple[tuple[int, int], ...], Clutter]:
+    """The family with its symbols relabelled onto 1..n, the (original
+    symbol, core symbol) pairs, and the relabelled family's blocker.
+
+    One entry is kept, so the `construction_size` that `realized_to_json`
+    calls after `realize` on the same family reuses its blocker."""
     symbols = sorted(set().union(*family.members))
     mapping = {old: i + 1 for i, old in enumerate(symbols)}
-    relabelled = validate_clutter(
+    core = validate_clutter(
         len(symbols), [frozenset(mapping[e] for e in m) for m in family.members]
     )
-    return relabelled, tuple(sorted(mapping.items()))
+    return core, tuple(sorted(mapping.items())), blocker(core)
 
 
 def _member_tag(member: frozenset[int]) -> str:
@@ -78,46 +88,52 @@ def realize(family: Clutter, d: int) -> RealizedGraph:
     if d < 1:
         raise ValueError("distance parameter d must be >= 1")
     _common_member_size(family)
-    core, relabelling = _relabelled(family)
+    core, relabelling, bl = _dualised(family)
     n = core.ground_size
-    bl = blocker(core)
 
     names = [str(i + 1) for i in range(n)]
-    edges = list(itertools.combinations(range(n), 2))
+    adj = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
     gadgets = []
 
-    def attach(prefix: str, member: frozenset[int]) -> tuple[str, tuple[str, ...]]:
-        head_name = prefix + _member_tag(member)
-        head = len(names)
+    def attach(head_name: str, member: frozenset[int]) -> tuple[str, ...]:
+        head = len(adj)
         names.append(head_name)
-        for e in sorted(member):
-            edges.append((e - 1, head))
+        mask = 0
+        for e in member:
+            mask |= 1 << (e - 1)
+            adj[e - 1] |= 1 << head
+        adj.append(mask)
         path_names = []
         prev = head
         for step in range(1, d):
             names.append(f"{head_name}.p{step}")
-            edges.append((prev, len(names) - 1))
             path_names.append(names[-1])
-            prev = len(names) - 1
-        return head_name, tuple(path_names)
+            adj[prev] |= 1 << len(adj)
+            adj.append(1 << prev)
+            prev = len(adj) - 1
+        return tuple(path_names)
 
     for member in bl.members:
-        x_name, x_path = attach("x", member)
-        y_name, y_path = attach("y", member)
+        tag = _member_tag(member)
+        x_name, y_name = "x" + tag, "y" + tag
+        x_path = attach(x_name, member)
+        y_path = attach(y_name, member)
         gadgets.append(GadgetPair(member, x_name, y_name, x_path, y_path))
 
-    graph = Graph.from_edges(len(names), edges, tuple(names))
+    graph = Graph(len(adj), tuple(adj), tuple(names))
     return RealizedGraph(graph, n, d, tuple(gadgets), relabelling)
 
 
 def construction_size(family: Clutter, d: int) -> tuple[int, int]:
-    """Closed-form vertex and edge counts of realize(family, d)."""
+    """Closed-form vertex and edge counts of realize(family, d).
+
+    Called after `realize` on the same family, it reuses that call's blocker
+    rather than dualising the family again."""
     if d < 1:
         raise ValueError("distance parameter d must be >= 1")
     _common_member_size(family)
-    core, _ = _relabelled(family)
+    core, _, bl = _dualised(family)
     n = core.ground_size
-    bl = blocker(core)
     b = len(bl.members)
     total = sum(len(m) for m in bl.members)
     vertices = n + 2 * d * b
@@ -129,9 +145,8 @@ def prior_construction_size(family: Clutter) -> tuple[int, int]:
     """Vertex and edge counts of the older published d=1 construction, for
     comparison with construction_size(family, 1)."""
     k = _common_member_size(family)
-    core, _ = _relabelled(family)
-    n = core.ground_size
-    m = len(core.members)
+    n = len(set().union(*family.members))
+    m = len(family.members)
     vertices = n + (k + 1) * math.comb(n, k - 1) + (k + 1) * (math.comb(n, k) - m)
     edges = (
         math.comb(n, 2)

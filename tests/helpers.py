@@ -53,6 +53,33 @@ def powerset_blocker(c: Clutter) -> Clutter:
     return Clutter(c.ground_size, tuple(kept))
 
 
+def first_contained_pair_message(members) -> str | None:
+    """The error a Clutter of these distinct members must raise, or None for
+    an antichain: the first member, in size-then-lexicographic order, that
+    is a proper subset of a later one, found by comparing every pair."""
+    ordered = sorted(members, key=lambda m: (len(m), sorted(m)))
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if a < b:
+                return f"not an antichain: member {sorted(a)} is contained in member {sorted(b)}"
+    return None
+
+
+def first_adjacency_fault(n: int, adj) -> str | None:
+    """The error a Graph with these masks must raise, or None when they are
+    in range, loop-free and symmetric: the first fault in vertex order, found
+    by testing every ordered pair."""
+    for v in range(n):
+        if adj[v] < 0 or adj[v] >> n:
+            return f"adjacency mask of vertex {v} leaves the vertex range"
+        if (adj[v] >> v) & 1:
+            return f"self-loop at vertex {v}"
+        for u in range(n):
+            if (adj[v] >> u) & 1 and not (adj[u] >> v) & 1:
+                return f"adjacency is not symmetric at ({v},{u})"
+    return None
+
+
 def oracle_labelling_exists(g: Graph, k: int) -> bool:
     """Brute-force: try every assignment of k-subsets of a (k+n-1)-symbol
     universe, filtering partial assignments pairwise.

@@ -12,6 +12,7 @@ import pytest
 from gammagraphs import (
     Labelling,
     SearchBudget,
+    are_isomorphic,
     blocker,
     build_gamma_graph,
     canonical_form,
@@ -20,9 +21,11 @@ from gammagraphs import (
     min_dominating_sets,
     parse_graph6,
     realize,
+    star_labelling,
     validate_clutter,
     verify_realization,
     wheel_labelling,
+    write_graph6,
 )
 from gammagraphs.classify import (
     LABELLABLE,
@@ -187,6 +190,30 @@ def test_classification_six_vertices(classification_six):
         found = {w for w, v in report.verdicts.items() if v.status == MINIMALLY_UNLABELLABLE}
         assert found == {canonical_form(g).decode() for g in minimal_unlabellable_six()}
         assert canonical_form(make_family("wheel", 6)).decode() in found
+
+
+def test_labellable_graphs_are_gamma_graphs(classification_upto5, classification_six):
+    """The paper's main theorem, end to end: realizing a labelling of H with
+    label size k gives, at every d, a graph whose minimum dominating sets
+    have size k and whose gamma-graph is H.  Run on every labellable
+    connected graph with at most six vertices, labelled by `classify`, and
+    on the closed-form wheel and star labellings."""
+    with criterion("labellable-are-gamma-graphs", 5.0):
+        cases = [
+            (parse_graph6(word), verdict.labelling)
+            for report, _ in (classification_upto5, classification_six)
+            for word, verdict in report.verdicts.items()
+            if verdict.status == LABELLABLE
+        ]
+        assert len(cases) == 27 + 69
+        cases += [(make_family("wheel", n), wheel_labelling(n)) for n in (4, 5, 7, 9)]
+        cases += [(make_family("fan", m, 1), star_labelling(m)) for m in (1, 2, 3, 4)]
+        for h, lab in cases:
+            family = Clutter(lab.max_symbol(), lab.labels)
+            for d in (1, 2, 3):
+                gg = build_gamma_graph(realize(family, d).graph, d)
+                assert gg.gamma == lab.k, (write_graph6(h), d)
+                assert are_isomorphic(gg.base, h), (write_graph6(h), d)
 
 
 def test_wheel_and_fan_families():

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from gammagraphs import SearchBudget, make_family, min_dominating_sets, write_graph6
+import gammagraphs.realizer as realizer
+from gammagraphs import SearchBudget, blocker, make_family, min_dominating_sets, write_graph6
 from gammagraphs.cli import build_parser, run
 from gammagraphs.errors import DEFAULT_NODE_LIMIT
 from gammagraphs.fixtures import domination_demo_graph
@@ -72,6 +73,32 @@ class TestRealize:
         path.write_text(json.dumps({"n": 4, "members": [[1, 2, 3], [1, 2, 4]]}))
         code, doc = _run_json(capsys, ["realize", "--d", "1", "--sets-file", str(path)])
         assert code == 0 and doc["vertices"] == 10 and doc["edges"] == 14
+
+    def test_verified_run_dualises_the_family_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_blocker(c):
+            calls.append(c)
+            return blocker(c)
+
+        monkeypatch.setattr(realizer, "blocker", counting_blocker)
+        realizer._dualised.cache_clear()
+        code = run(["realize", "--d", "2", "--sets", "1234,1235,1246,2357,3578", "--verify"])
+        assert code == 0 and len(calls) == 1
+        expected = {
+            "d": 2,
+            "core_size": 8,
+            "relabelling": {str(s): s for s in range(1, 9)},
+            "vertices": 48,
+            "edges": 88,
+            "construction_size": [48, 88],
+            "prior_construction_size": [613, 2728],
+            "graph6": "o~~~~}_?L??@a???p???@__???KC????D_?????J??????@Q???????h???????@O_???????IC"
+                      "????????D@?????????IA?????????@K???????????e???????????@H????????????HG???"
+                      "?????????CW?????????????Go?????????????@",
+            "verified": True,
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_bad_sets_spec(self, capsys):
         assert run(["realize", "--d", "1", "--sets", "12,banana"]) == 2

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from gammagraphs import Clutter, blocker, random_clutter, validate_clutter
 from gammagraphs.clutters import clutter_from_json, clutter_to_json
 
-from helpers import powerset_blocker
+from helpers import first_contained_pair_message, powerset_blocker
 
 
 def _sets(*specs):
@@ -46,6 +46,28 @@ class TestValidation:
     def test_members_sorted_by_size_then_lex(self):
         c = validate_clutter(4, _sets("34", "2", "13"))
         assert [sorted(m) for m in c.members] == [[2], [1, 3], [3, 4]]
+
+    def test_seeded_families_match_pairwise_scan(self):
+        """Seeded families over 1-12 symbols, every other one with a planted
+        containment: Clutter accepts exactly the antichains, and names the same
+        first offending pair as a scan of every pair."""
+        rng = random.Random(2026)
+        for trial in range(600):
+            n = rng.randint(1, 12)
+            family = {frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                      for _ in range(rng.randint(1, 3 * n))}
+            family = {s for s in family if not any(o < s for o in family)}
+            if trial % 2:
+                outer = rng.choice(sorted(family, key=sorted))
+                family.add(frozenset(rng.sample(sorted(outer), rng.randrange(len(outer)))))
+            expected = first_contained_pair_message(family)
+            assert (expected is not None) == bool(trial % 2)
+            if expected is None:
+                assert Clutter(n, tuple(family)).member_sets() == family
+            else:
+                with pytest.raises(ValueError) as err:
+                    Clutter(n, tuple(family))
+                assert str(err.value) == expected
 
 
 class TestBlocker:

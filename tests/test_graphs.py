@@ -21,18 +21,53 @@ from gammagraphs import (
 from gammagraphs.fixtures import domination_demo_graph
 from gammagraphs.graphs import canonical_word
 
-from helpers import all_graphs_on, random_graph
+from helpers import all_graphs_on, first_adjacency_fault, random_graph
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b00), ("1", "2"))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (0b1,), ("1",))  # self-loop
-    with pytest.raises(ValueError):
-        Graph(2, (0, 0), ("a", "a"))  # duplicate names
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Graph(2, (0, 0), ("a", "a"))
+    with pytest.raises(ValueError, match=r"edge \(0,2\) out of range"):
         Graph.from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (2, (0b100, 0b000), "adjacency mask of vertex 0 leaves the vertex range"),
+    (1, (0b1,), "self-loop at vertex 0"),
+    (3, (0b000, 0b010, 0b000), "self-loop at vertex 1"),
+    (2, (0b10, 0b00), "adjacency is not symmetric at (0,1)"),
+    # two asymmetries each: the first in vertex order is named, whether the
+    # vertex lists a neighbour above it or below it
+    (4, (0b0000, 0b0100, 0b0000, 0b0010), "adjacency is not symmetric at (1,2)"),
+    (4, (0b0000, 0b0001, 0b1000, 0b0000), "adjacency is not symmetric at (1,0)"),
+    (4, (0b0000, 0b1000, 0b0001, 0b0000), "adjacency is not symmetric at (1,3)"),
+    # every listed neighbour lies below, so only the bit totals differ
+    (3, (0b000, 0b001, 0b001), "adjacency is not symmetric at (1,0)"),
+])
+def test_invalid_masks_name_first_fault(n, adj, message):
+    assert first_adjacency_fault(n, adj) == message
+    with pytest.raises(ValueError) as err:
+        Graph(n, adj, tuple(str(v) for v in range(n)))
+    assert str(err.value) == message
+
+
+def test_mask_checks_match_pairwise_scan():
+    """Seeded masks, half of them with flipped bits: Graph accepts exactly
+    the symmetric loop-free masks and names the first fault in vertex order."""
+    rng = random.Random(7)
+    for trial in range(2000):
+        n = rng.randint(1, 8)
+        adj = list(random_graph(rng, n, rng.random()).adj)
+        if trial % 2:
+            for _ in range(rng.randint(1, 3)):
+                adj[rng.randrange(n)] ^= 1 << rng.randrange(n + (trial % 10 == 1))
+        expected = first_adjacency_fault(n, adj)
+        if expected is None:
+            Graph(n, tuple(adj), tuple(str(v) for v in range(n)))
+        else:
+            with pytest.raises(ValueError) as err:
+                Graph(n, tuple(adj), tuple(str(v) for v in range(n)))
+            assert str(err.value) == expected
 
 
 class TestGraph6:
