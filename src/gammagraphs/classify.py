@@ -144,18 +144,35 @@ def _connected_words(n: int) -> tuple[str, ...]:
 
 def _largest_non_cut_vertex_is_last(adj: list[int]) -> bool:
     """Whether no non-cut vertex of the connected graph `adj` has a larger
-    invariant (degree, sorted neighbour degrees) than its last vertex."""
-    n = len(adj)
+    invariant (degree, sorted neighbour degrees) than its last vertex.
+
+    Degrees are compared first: a vertex of smaller degree is never larger,
+    one of larger degree always is, and only a tie reads the neighbour
+    degrees."""
     degree = [mask.bit_count() for mask in adj]
+    top = degree[-1]
+    last_nbrs = None
+    for u in range(len(adj) - 1):
+        if degree[u] < top:
+            continue
+        if degree[u] == top:
+            if last_nbrs is None:
+                last_nbrs = _neighbour_degrees(adj[-1], degree)
+            if _neighbour_degrees(adj[u], degree) <= last_nbrs:
+                continue
+        if _connected_without(adj, u):
+            return False
+    return True
 
-    def invariant(u: int) -> tuple[int, list[int]]:
-        return degree[u], sorted(degree[w] for w in range(n) if (adj[u] >> w) & 1)
 
-    last = invariant(n - 1)
-    return not any(
-        degree[u] >= last[0] and invariant(u) > last and _connected_without(adj, u)
-        for u in range(n - 1)
-    )
+def _neighbour_degrees(mask: int, degree: list[int]) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(degree[low.bit_length() - 1])
+        mask ^= low
+    out.sort()
+    return out
 
 
 def _connected_without(adj: Sequence[int], u: int) -> bool:

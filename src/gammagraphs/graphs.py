@@ -344,30 +344,47 @@ def read_graph6_lines(text: str) -> list[Graph]:
 # Canonical forms
 # ---------------------------------------------------------------------------
 
-def _equitable_colors(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Colour refinement to a fixed point, starting from degrees.
+def _neighbour_lists(adj: tuple[int, ...]) -> list[list[int]]:
+    out = []
+    for mask in adj:
+        nbrs = []
+        while mask:
+            low = mask & -mask
+            nbrs.append(low.bit_length() - 1)
+            mask ^= low
+        out.append(nbrs)
+    return out
+
+
+def _equitable_colors(nbrs: list[list[int]]) -> tuple[int, ...]:
+    """Colour refinement of the graph with these neighbour lists to a fixed
+    point, starting from degrees.
 
     The resulting integer colours are isomorphism-invariant because each
     round relabels signatures by their sorted order.
+
+    Refinement stops at the first round that splits no class, and returns
+    that round's ranks.  They are the fixed point already: a signature
+    starts with the vertex's own colour, so an unsplit round renames the
+    classes by an order-preserving bijection, and the next round's
+    signatures then sort exactly as this round's did, giving equal ranks.
     """
-    n = len(adj)
-    colors = tuple(adj[v].bit_count() for v in range(n))
+    colors = tuple(map(len, nbrs))
+    classes = len(set(colors))
     while True:
         sigs = []
-        for v in range(n):
+        for v, vs in enumerate(nbrs):
             counts: dict[int, int] = {}
-            rest = adj[v]
-            while rest:
-                low = rest & -rest
-                c = colors[low.bit_length() - 1]
+            for u in vs:
+                c = colors[u]
                 counts[c] = counts.get(c, 0) + 1
-                rest ^= low
             sigs.append((colors[v], tuple(sorted(counts.items()))))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(rank[s] for s in sigs)
-        if new == colors:
-            return new
-        colors = new
+        ordered = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(ordered)}
+        colors = tuple(rank[s] for s in sigs)
+        if len(ordered) == classes:
+            return colors
+        classes = len(ordered)
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -375,56 +392,81 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     """graph6 bytes of the lexicographically minimal upper-triangle bit string
     over all orderings consistent with the equitable colouring (vertices
     sorted by colour).  The bits come in graph6's own order, (0,1),(0,2),
-    (1,2),(0,3),..., so they are packed six to a byte as they stand."""
+    (1,2),(0,3),..., so they are packed six to a byte as they stand.
+
+    Position p's bits toward positions 0..p-1 are kept as one integer row,
+    position i at bit n-1-i, so rows of one position compare as their bit
+    strings do.  `reach[u]` collects the bits of u's placed neighbours as
+    vertices are placed, which makes it u's row at the next position.  A
+    path is pruned by comparing its rows with the best ordering's while they
+    are equal, and again once a leaf below it has become the best.
+
+    Twin rule: a vertex is skipped while a twin of smaller index is still
+    unplaced.  v and w are twins when adj[v] and adj[w] agree outside
+    {v, w}; twinship is an equivalence, and twins share a colour.  Any
+    permutation of a twin class is an automorphism, so sorting every class
+    into index order maps each ordering to one with the same bit string, and
+    the minimum over the orderings left is the minimum over all.
+    """
     if n == 0:
         return bytes([63])
-    colors = _equitable_colors(adj)
+    nbrs = _neighbour_lists(adj)
+    colors = _equitable_colors(nbrs)
     target = sorted(colors)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
+    # twins share a colour, so the earlier twins are earlier in the class too
+    twins_before = [0] * n
+    open_seen: dict[int, int] = {}
+    closed_seen: dict[int, int] = {}
+    for v, mask in enumerate(adj):
+        bit = 1 << v
+        closed = mask | bit
+        twins_before[v] = open_seen.get(mask, 0) | closed_seen.get(closed, 0)
+        open_seen[mask] = open_seen.get(mask, 0) | bit
+        closed_seen[closed] = closed_seen.get(closed, 0) | bit
 
-    best: list[int] | None = None
-    order: list[int] = []
-    bits: list[int] = []
-    used = [False] * n
+    best: list[int] = []
+    rows = [0] * n
+    reach = [0] * n
 
-    def dfs(pos: int, tight: bool):
-        # tight: the bits so far equal best's prefix (best only ever changes
-        # to a completion of the current path, so this stays accurate)
-        nonlocal best
+    def dfs(pos: int, unplaced: int, tight: bool) -> bool:
+        # tight: the rows so far equal best's; otherwise they are smaller, or
+        # there is no best yet.  Returns whether best became a completion of
+        # this path, which makes the path tight from then on.
         if pos == n:
-            if best is None or bits < best:
-                best = bits.copy()
-            return
-        base = len(bits)
+            if tight:
+                return False
+            best[:] = rows
+            return True
+        improved = False
+        bit = 1 << (n - 1 - pos)
         for v in by_color[target[pos]]:
-            if used[v]:
+            if not (unplaced >> v) & 1 or twins_before[v] & unplaced:
                 continue
-            chunk = [(adj[v] >> order[i]) & 1 for i in range(pos)]
-            new_tight = tight
-            if best is not None and tight:
-                ref = best[base : base + len(chunk)]
-                if chunk > ref:
-                    continue
-                new_tight = chunk == ref
-            used[v] = True
-            order.append(v)
-            bits.extend(chunk)
-            dfs(pos + 1, new_tight)
-            del bits[base:]
-            order.pop()
-            used[v] = False
+            row = reach[v]
+            if tight and row > best[pos]:
+                continue
+            rows[pos] = row
+            for u in nbrs[v]:
+                reach[u] |= bit
+            if dfs(pos + 1, unplaced ^ (1 << v), tight and row == best[pos]):
+                improved = tight = True
+            for u in nbrs[v]:
+                reach[u] ^= bit
+        return improved
 
-    dfs(0, True)
-    assert best is not None
+    dfs(0, (1 << n) - 1, False)
+    acc = 0
+    for pos in range(1, n):
+        acc = (acc << pos) | (best[pos] >> (n - pos))
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    acc <<= pad
     word = bytearray([63 + n])
-    for start in range(0, len(best), 6):
-        chunk = best[start : start + 6]
-        acc = 0
-        for bit in chunk:
-            acc = (acc << 1) | bit
-        word.append(63 + (acc << (6 - len(chunk))))
+    for shift in range(nbits + pad - 6, -1, -6):
+        word.append(63 + ((acc >> shift) & 63))
     return bytes(word)
 
 

@@ -182,6 +182,41 @@ def reference_witness(g: Graph, budget) -> tuple[int, ...] | None:
     return None
 
 
+def oracle_equitable_colors(n: int, adj) -> list[int]:
+    """Colour refinement from degrees: each round a vertex's signature is its
+    colour and the sorted (colour, count) pairs of its neighbours, and the
+    new colour is the signature's rank among the distinct signatures.  Runs
+    until a round changes no colour."""
+    colors = [bin(adj[v]).count("1") for v in range(n)]
+    while True:
+        sigs = []
+        for v in range(n):
+            nbr_colors = [colors[u] for u in range(n) if (adj[v] >> u) & 1]
+            pairs = sorted((c, nbr_colors.count(c)) for c in set(nbr_colors))
+            sigs.append((colors[v], tuple(pairs)))
+        ranks = sorted(set(sigs))
+        new = [ranks.index(s) for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def oracle_canonical_word(n: int, adj) -> bytes:
+    """The least graph6 word over every ordering that lists the vertices by
+    ascending equitable colour, found by trying every such ordering."""
+    colors = oracle_equitable_colors(n, adj)
+    classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):
+        order = [v for part in parts for v in part]
+        bits = [(adj[order[i]] >> order[j]) & 1 for j in range(1, n) for i in range(j)]
+        if best is None or bits < best:
+            best = bits
+    best += [0] * (-len(best) % 6)
+    chunks = [best[i : i + 6] for i in range(0, len(best), 6)]
+    return bytes([63 + n] + [63 + int("".join(map(str, c)), 2) for c in chunks])
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

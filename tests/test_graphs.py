@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,21 @@ from gammagraphs import (
     write_graph6,
 )
 from gammagraphs.fixtures import domination_demo_graph
-from gammagraphs.graphs import canonical_word
+from gammagraphs.classify import _connected_words
+from gammagraphs.graphs import (
+    _canonical_word,
+    _equitable_colors,
+    _neighbour_lists,
+    canonical_word,
+)
 
-from helpers import all_graphs_on, first_adjacency_fault, random_graph
+from helpers import (
+    all_graphs_on,
+    first_adjacency_fault,
+    oracle_canonical_word,
+    oracle_equitable_colors,
+    random_graph,
+)
 
 
 def test_graph_invariants_enforced():
@@ -261,6 +275,64 @@ class TestCanonicalForm:
         assert canonical_word(16, make_family("path", 16).adj) == canonical_form(
             make_family("path", 16)
         )
+
+    def test_matches_oracle_on_every_small_graph(self):
+        for n in range(6):
+            for g in all_graphs_on(n):
+                word = canonical_word(g.n, g.adj)
+                assert word == oracle_canonical_word(g.n, g.adj), write_graph6(g)
+
+    def test_matches_oracle_on_random_graphs(self):
+        # p = 0.05 and p = 0.95 give large classes of twins
+        rng = random.Random(12)
+        for i in range(200):
+            g = random_graph(rng, rng.randint(1, 7), (0.05, 0.5, 0.95)[i % 3])
+            word = canonical_word(g.n, g.adj)
+            assert word == oracle_canonical_word(g.n, g.adj), write_graph6(g)
+
+    def test_colors_match_oracle(self):
+        rng = random.Random(13)
+        for i in range(100):
+            g = random_graph(rng, rng.randint(0, 10), (0.1, 0.3, 0.5, 0.7)[i % 4])
+            colors = _equitable_colors(_neighbour_lists(g.adj))
+            assert list(colors) == oracle_equitable_colors(g.n, g.adj)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (5, "8603257cf7173719f15b0608a48fa9c8797ec365db43dd44b0e6920b090e0721"),
+            (6, "8cf963075d0f75792efef5dcf67c4f76b9a30a1205b64f17d6a3819fefac7324"),
+            (7, "208ef45fb231d9d87a5aacc9b4b69f461c2601d8752fe96829d763c5a219ffd8"),
+        ],
+    )
+    def test_enumerated_words_pinned(self, n, digest):
+        words = "\n".join(_connected_words(n)).encode("ascii")
+        assert hashlib.sha256(words).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make_family("complete", 16),
+            Graph.from_edges(16, []),
+            make_family("complete_bipartite", 15, 1),
+        ],
+        ids=["K16", "edgeless16", "K15_1"],
+    )
+    def test_twin_classes_are_ordered_once(self, g):
+        # every vertex of these graphs is a twin of all others of its
+        # colour, so the search visits one ordering, not up to 16!
+        start = time.perf_counter()
+        word = _canonical_word.__wrapped__(g.n, g.adj)
+        assert time.perf_counter() - start < 0.1
+        assert word == write_graph6(g).encode("ascii")
+
+    @pytest.mark.parametrize(
+        "family, size, word",
+        [("cycle", 10, b"I??XQa_o?"), ("cycle", 12, b"K???WggSD?W?"), ("prism", 6, b"K???xXSiE_[?")],
+    )
+    def test_twin_free_symmetric_forms_pinned(self, family, size, word):
+        # vertex-transitive and twin-free: one colour class, no twin pruning
+        assert canonical_form(make_family(family, size)) == word
 
 
 class TestFamilies:
