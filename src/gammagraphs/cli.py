@@ -184,6 +184,8 @@ def _run_label(args) -> int:
 
 def _run_classify(args) -> int:
     if args.max_n is not None:
+        if args.max_n < 1:
+            raise ValueError("--max-n must be >= 1")
         graphs = []
         for n in range(1, args.max_n + 1):
             graphs.extend(enumerate_connected_graphs(n))

@@ -151,19 +151,6 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _mask_key(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(_mask_key(mask))
-
-
 def _search_order(g: Graph):
     """Connected placement order plus per-position metadata.
 
@@ -225,6 +212,24 @@ def find_labelling(
     Each k runs a complete DFS over normalized labellings whose labels are
     bitmasks of exactly k symbols; `nodes` counts candidate labels tested
     across every k.
+
+    Symbols are stored in reversed bit order: with width = k + n - 1 (the
+    most symbols a normalized labelling can use), 0-based symbol s sits at
+    bit width - 1 - s.  For masks of one size, ascending order of their
+    sorted symbol tuples is then descending integer order, so the
+    candidates are tried smallest tuple first by a plain reverse sort, and
+    masks are turned back into symbol sets only for a found labelling.
+
+    Complement pruning: a node is cut when its used symbols plus one per
+    unplaced vertex fall short of 2k, as each later vertex adds at most one
+    new symbol.  This is sound because the search reaches k only after
+    every smaller k ended absent: a labelling at k of n >= 2 vertices on
+    u < 2k symbols U would give, by replacing each label L with U - L, a
+    labelling of size u - k < k (at least 1, as two distinct labels cover
+    more than k symbols; adjacency is kept, see SearchBudget), which the
+    complete search at u - k would have found.  Pruned subtrees hold no
+    labelling, so verdicts and found labellings are unchanged.  At the root
+    the rule reads k > n - 1, so k >= n costs no nodes.
     """
     if g.n == 0:
         raise ValueError("cannot search the empty graph")
@@ -234,7 +239,8 @@ def find_labelling(
     n = g.n
     labels = [0] * n
     nodes = 0
-    # `candidates` and `rec` read the label size k of the loop below.
+    # `candidates` and `rec` read the label size k and mask width of the loop
+    # below.
 
     def candidates(pos: int, used: int) -> list[int]:
         pair = p3_pair[pos]
@@ -255,7 +261,7 @@ def find_labelling(
                     out.append(t | xa | xb)
             return out
         parent = labels[parent_pos[pos]]
-        swap_in = ((1 << used) - 1) & ~parent | (1 << used)
+        swap_in = (((1 << (used + 1)) - 1) << (width - 1 - used)) & ~parent
         out = []
         pa = parent
         while pa:
@@ -273,8 +279,11 @@ def find_labelling(
         nonlocal nodes
         if pos == n:
             return True
+        if used + (n - pos) < 2 * k:
+            return False
         amask = adj_pos[pos]
-        for cand in sorted(candidates(pos, used), key=_mask_key):
+        new_bit = 1 << (width - 1 - used)
+        for cand in sorted(candidates(pos, used), reverse=True):
             nodes += 1
             if nodes > budget.node_limit:
                 raise WorkLimitExceeded("labelling search work limit exceeded", nodes)
@@ -291,12 +300,13 @@ def find_labelling(
             if not ok:
                 continue
             labels[pos] = cand
-            if rec(pos + 1, used + (1 if cand >> used else 0)):
+            if rec(pos + 1, used + (1 if cand & new_bit else 0)):
                 return True
         return False
 
     for k in range(1, k_max + 1):
-        labels[0] = (1 << k) - 1
+        width = k + n - 1
+        labels[0] = ((1 << k) - 1) << (width - k)
         try:
             found = rec(1, k)
         except WorkLimitExceeded:
@@ -304,7 +314,9 @@ def find_labelling(
         if found:
             by_vertex = [frozenset()] * n
             for pos, v in enumerate(order):
-                by_vertex[v] = _mask_to_set(labels[pos])
+                by_vertex[v] = frozenset(
+                    width - i for i in range(width) if labels[pos] >> i & 1
+                )
             return SearchOutcome("found", Labelling(k, tuple(by_vertex)), k, nodes)
     return SearchOutcome("absent_up_to_k", None, k_max, nodes)
 

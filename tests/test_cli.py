@@ -188,6 +188,13 @@ class TestClassify:
         six_row = [line for line in captured.err.splitlines() if line.strip().startswith("6 ")]
         assert six_row and "69" in six_row[0] and "39" in six_row[0]
 
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_max_n_below_one_is_usage_error(self, capsys, max_n):
+        code = run(["classify", "--max-n", max_n])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-n must be >= 1" in captured.err
+
     def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "batch.g6"
         path.write_text(write_graph6(make_family("complete_bipartite", 2, 3)) + "\n")

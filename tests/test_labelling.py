@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gammagraphs import (
@@ -99,20 +101,66 @@ class TestSearch:
         assert 1 <= out.k <= 6 and out.nodes >= 5
 
     @pytest.mark.parametrize(
-        "graph, k_max, nodes, status",
+        "graph, k_max, nodes, status, frontier_k",
         [
-            (make_family("complete_bipartite", 2, 3), 6, 763, "absent_up_to_k"),
-            (make_family("cycle", 5), 2, 18, "found"),
+            # K_{2,3} has 5 vertices, so complement pruning makes k = 5 and
+            # k = 6 cost no nodes and the limit runs out at k = 4
+            (make_family("complete_bipartite", 2, 3), 6, 182, "absent_up_to_k", 4),
+            (make_family("cycle", 5), 2, 18, "found", 2),
         ],
         ids=["k23", "c5"],
     )
-    def test_node_limit_counts_candidate_labels(self, graph, k_max, nodes, status):
+    def test_node_limit_counts_candidate_labels(self, graph, k_max, nodes, status, frontier_k):
         # every candidate label tested is counted once, across all k, and
         # the one that passes the limit is counted too
         out = find_labelling(graph, SearchBudget(k_max=k_max, node_limit=nodes))
         assert (out.status, out.k, out.nodes) == (status, k_max, nodes)
         out = find_labelling(graph, SearchBudget(k_max=k_max, node_limit=nodes - 1))
-        assert (out.status, out.k, out.nodes) == ("budget_exhausted", k_max, nodes)
+        assert (out.status, out.k, out.nodes) == ("budget_exhausted", frontier_k, nodes)
+
+    @pytest.mark.parametrize(
+        "budget, digest",
+        [
+            (SearchBudget(), "d22f21f437c412657491b20b824b78563e5d722f857ef26801d841f8762c84f6"),
+            (SearchBudget(k_max=3), "f9c99fcf46818dc28c58fa91f7afc31434691471d5d38a79422f46e3b7f1f2b1"),
+        ],
+        ids=["default", "k3"],
+    )
+    def test_outcomes_pinned_up_to_six_vertices(self, budget, digest):
+        # (status, k, labels) on every connected graph with n <= 6; labels
+        # are sorted tuples, since a frozenset's repr depends on insertion
+        # order
+        rows = []
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                out = find_labelling(g, budget)
+                labels = None
+                if out.labelling is not None:
+                    labels = tuple(tuple(sorted(s)) for s in out.labelling.labels)
+                rows.append((out.status, out.k, labels))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+    def test_found_labellings_use_at_least_two_k_symbols(self):
+        # the fact complement pruning rests on: at the minimal k, fewer than
+        # 2k symbols would give a labelling of size below k
+        count = 0
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                out = find_labelling(g)
+                if out.status == "found":
+                    count += 1
+                    assert len(frozenset().union(*out.labelling.labels)) >= 2 * out.k
+        assert count == 95
+
+    def test_label_sizes_of_n_or_more_cost_no_nodes(self):
+        # at the root, complement pruning reads k > n - 1
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                wide = find_labelling(g, SearchBudget(k_max=n))
+                if wide.status == "absent_up_to_k":
+                    narrow = find_labelling(g, SearchBudget(k_max=n - 1))
+                    assert narrow.status == "absent_up_to_k"
+                    assert wide.nodes == narrow.nodes
 
     def test_deterministic(self):
         g = make_family("prism", 3)
