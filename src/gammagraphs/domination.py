@@ -3,9 +3,12 @@ complete family of minimum distance-d dominating sets.
 
 Closed d-balls are precomputed as bitmasks.  Balls are symmetric, so the
 vertices that can dominate u are exactly the members of u's own ball.  The
-search runs depth first over these masks, once per size s = 1, 2, ..., and
-stops at the first size with covers: that size is gamma, since a smaller
-cover would have been found at a smaller size.
+search runs depth first over these masks, once per size s = b, b + 1, ...,
+and stops at the first size with covers: that size is gamma, since a
+smaller cover would have been found at a smaller size.  b is the packing
+bound below taken at the root, where nothing is chosen or forbidden; every
+smaller size would be pruned at its root, so those sizes are skipped.  From
+b on the root is never pruned, so its pass is made once for every size.
 
 - A node is pruned when its chosen vertices plus a packing bound exceed s.
   The bound counts uncovered vertices whose non-forbidden dominators are
@@ -19,8 +22,8 @@ cover would have been found at a smaller size.
   lies below the branch on the lowest member of C among u's dominators only.
 
 The covers are sorted as index tuples, so the minimum sets come out in
-lexicographic order.  Every search node, at every size tried, counts against
-the node limit.
+lexicographic order.  Every search node, at every size from b on, counts
+against the node limit.
 """
 
 from __future__ import annotations
@@ -92,11 +95,29 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
     nodes = 0
-    size = 0
+    # The pass `visit` makes at the root, made once: the root's packing bound
+    # and its branch set.  No size below the bound has a cover, and from the
+    # bound on the root is never pruned, so every size starts from this root.
+    # `size` starts one below the bound, as the loop adds one.
+    size = -1
+    packed = 0
+    root = 0
+    root_count = len(balls) + 1
+    rest = full
+    while rest:
+        low = rest & -rest
+        dominators = balls[low.bit_length() - 1]
+        if not dominators & packed:
+            size += 1
+            packed |= dominators
+        count = dominators.bit_count()
+        if count < root_count:
+            root, root_count = dominators, count
+        rest ^= low
 
     def visit(covered: int, forbidden: int) -> int:
-        """Count a node and record it if it is a cover; return the vertices
-        to branch on, or 0 for a leaf or a pruned node."""
+        """Count a node below the root and record it if it is a cover; return
+        the vertices to branch on, or 0 for a leaf or a pruned node."""
         nonlocal nodes
         nodes += 1
         if nodes > limit:
@@ -134,7 +155,10 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         # One frame per node on the current path that may still branch:
         # [covered, forbidden, branches left].  chosen[i] is the vertex taken
         # from frame i, so a leaf or pruned node never gets a frame.
-        stack = [[0, 0, visit(0, 0)]]
+        nodes += 1
+        if nodes > limit:
+            raise WorkLimitExceeded("domination search work limit exceeded", nodes)
+        stack = [[0, 0, root]]
         while stack:
             frame = stack[-1]
             covered, forbidden, options = frame

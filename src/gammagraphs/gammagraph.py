@@ -4,6 +4,7 @@ set, adjacent when the two sets intersect in gamma-1 elements."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .domination import min_dominating_sets
 from .errors import DEFAULT_NODE_LIMIT
@@ -40,17 +41,28 @@ def build_gamma_graph(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) ->
     """Construct the gamma-graph for distance parameter d.
 
     Vertices appear in the order of `min_sets` (lexicographic as sorted index
-    tuples); edges follow the intersection rule |A & B| == gamma - 1.
+    tuples); i and j are adjacent when |tags[i] & tags[j]| == gamma - 1.
+
+    The edges come from one pass over the m tags rather than from m^2/2
+    intersections.  Each tag files itself under each of its gamma subsets of
+    size gamma - 1, as a bitmask.  Two distinct tags A and B of size gamma
+    meet in gamma - 1 elements exactly when they share such a key, and the
+    shared key is then A & B, so each edge comes from exactly one bucket.
+    Tags enter the buckets in index order, so every pair comes out once with
+    i < j.  That is O(m * gamma) dict operations plus one step per edge.
+    For gamma = 1 every tag files under the empty set, and the gamma-graph
+    is complete.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no gamma-graph")
     result = min_dominating_sets(g, d, node_limit)
     tags = result.min_sets
-    edges = []
-    for i in range(len(tags)):
-        for j in range(i + 1, len(tags)):
-            if len(tags[i] & tags[j]) == result.gamma - 1:
-                edges.append((i, j))
+    buckets: dict[int, list[int]] = {}
+    for i, tag in enumerate(tags):
+        mask = sum(1 << x for x in tag)
+        for x in tag:
+            buckets.setdefault(mask ^ (1 << x), []).append(i)
+    edges = [pair for bucket in buckets.values() for pair in combinations(bucket, 2)]
     base = Graph.from_edges(len(tags), edges, tuple(tag_name(g, t) for t in tags))
     return GammaGraph(base, tags, result.gamma, d)
 

@@ -40,6 +40,16 @@ def powerset_min_dominating(g: Graph, d: int) -> tuple[int, set[frozenset[int]]]
     return best, sets
 
 
+def oracle_gamma_graph_edges(tags, gamma: int) -> set[tuple[int, int]]:
+    """Every pair i < j of tags that meet in gamma - 1 elements, found by
+    intersecting every pair."""
+    return {
+        (i, j)
+        for i, j in itertools.combinations(range(len(tags)), 2)
+        if len(tags[i] & tags[j]) == gamma - 1
+    }
+
+
 def powerset_blocker(c: Clutter) -> Clutter:
     """Scan the subsets of the ground set in size order; keep each transversal
     that contains no transversal kept before it (a smaller one, since an

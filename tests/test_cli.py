@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 
@@ -10,6 +11,7 @@ from gammagraphs.errors import DEFAULT_NODE_LIMIT
 from gammagraphs.fixtures import domination_demo_graph
 
 DEMO_WORD = write_graph6(domination_demo_graph())
+PATH60_D3_SHA256 = "bed4062d4d276337151f53b4f05338eb90b3405e0c3a348235b59d06f97bee72"
 
 
 def _run_json(capsys, argv):
@@ -52,13 +54,21 @@ class TestGammaGraph:
         assert len(doc["edges"]) == 6
 
     def test_node_limit_exhaustion_exit_code(self, capsys):
-        # cycle(9): the searches at sizes 1, 2 and 3 visit 21 nodes
+        # cycle(9): the one search, at the root packing bound 3, visits 19 nodes
         argv = ["gammagraph", "--d", "1", "--graph6", "HhCGGE@", "--node-limit"]
-        assert run(argv + ["20"]) == 3
+        assert run(argv + ["18"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "21 nodes examined" in captured.err
-        code, doc = _run_json(capsys, argv + ["21"])
+        assert captured.out == "" and "19 nodes examined" in captured.err
+        code, doc = _run_json(capsys, argv + ["19"])
         assert code == 0 and doc["gamma"] == 3 and len(doc["vertices"]) == 3
+
+    def test_long_path_output_pinned(self, capsys):
+        # sha256 of the stdout for path(60) at d = 3 (220 sets, 594 edges),
+        # taken before the edges came from shared (gamma-1)-subsets
+        word = write_graph6(make_family("path", 60))
+        assert run(["gammagraph", "--d", "3", "--graph6", word]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PATH60_D3_SHA256
 
 
 class TestRealize:

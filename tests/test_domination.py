@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -206,14 +207,57 @@ def test_work_limit_reported():
 
 
 def test_work_limit_counts_search_nodes():
-    # the searches at sizes 1, 2 and 3 visit 21 nodes on the 9-cycle, each
-    # counted once
+    # the search starts at the root packing bound, 3 on the 9-cycle, and
+    # visits 19 nodes, each counted once
     g = make_family("cycle", 9)
-    result = min_dominating_sets(g, 1, node_limit=21)
+    result = min_dominating_sets(g, 1, node_limit=19)
     assert result.gamma == 3 and len(result.min_sets) == 3
     with pytest.raises(WorkLimitExceeded, match="work limit") as exc:
-        min_dominating_sets(g, 1, node_limit=20)
-    assert exc.value.examined == 21
+        min_dominating_sets(g, 1, node_limit=18)
+    assert exc.value.examined == 19
+
+
+def test_sizes_start_at_the_root_packing_bound():
+    # every vertex of an edgeless graph needs itself, so the root bound is n:
+    # one search at size n, a root and a chain of n nodes, and no root visit
+    # at the sizes below
+    g = Graph.from_edges(1050, [])
+    result = min_dominating_sets(g, 1, node_limit=1051)
+    assert result.gamma == 1050 and len(result.min_sets) == 1
+    with pytest.raises(WorkLimitExceeded) as exc:
+        min_dominating_sets(g, 1, node_limit=1050)
+    assert exc.value.examined == 1051
+
+
+def _search_nodes(g, d):
+    """The nodes one search visits: the least node limit it finishes under."""
+    low, high = 0, 1
+    while True:
+        try:
+            min_dominating_sets(g, d, node_limit=high)
+            break
+        except WorkLimitExceeded:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            min_dominating_sets(g, d, node_limit=mid)
+            high = mid
+        except WorkLimitExceeded:
+            low = mid
+    return high
+
+
+def test_node_counts_pinned_up_to_six_vertices():
+    # every connected graph with n <= 6 at d = 1, 2 (286 searches); when
+    # pinned, each count was checked to be the count of the search that tried
+    # every size from 1, less one root visit per size below the root bound
+    counts = tuple(
+        _search_nodes(g, d) for n in range(1, 7) for g in enumerate_connected_graphs(n) for d in (1, 2)
+    )
+    assert sum(counts) == 2202
+    digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+    assert digest == "8b964741f8e82cbca91a686b7de0eb23293f1c1d8c92e90de93d875d4ab9a8e2"
 
 
 def test_seven_by_seven_grid_within_a_small_budget():

@@ -1,4 +1,4 @@
-import itertools
+import random
 
 import pytest
 
@@ -19,9 +19,17 @@ from gammagraphs.fixtures import (
     domination_demo_graph,
 )
 
+from helpers import oracle_gamma_graph_edges, random_graph
+
 
 def _tag_as_names(tag):
     return frozenset(v + 1 for v in tag)
+
+
+def _assert_edges_match_oracle(g, d):
+    gg = build_gamma_graph(g, d)
+    assert set(gg.base.edges()) == oracle_gamma_graph_edges(gg.tags, gg.gamma)
+    return gg
 
 
 class TestDemoGraph:
@@ -50,23 +58,20 @@ class TestDemoGraph:
 
 class TestStructure:
     def test_tags_match_domination_module(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for g in enumerate_connected_graphs(n):
                 for d in (1, 2):
-                    gg = build_gamma_graph(g, d)
+                    gg = _assert_edges_match_oracle(g, d)
                     result = min_dominating_sets(g, d)
                     assert set(gg.tags) == set(result.min_sets)
                     assert gg.gamma == result.gamma
-                    for i, j in itertools.combinations(range(len(gg.tags)), 2):
-                        expect = len(gg.tags[i] & gg.tags[j]) == gg.gamma - 1
-                        assert gg.base.has_edge(i, j) == expect
 
     def test_gamma_one_gives_complete_graph(self):
-        for g in (make_family("complete", 5), make_family("wheel", 5)):
-            gg = build_gamma_graph(g, 1)
-            if gg.gamma == 1:
-                m = gg.base.n
-                assert gg.base.edge_count == m * (m - 1) // 2
+        # K5: each vertex alone dominates; wheel(5): only the hub does
+        for g, m in ((make_family("complete", 5), 5), (make_family("wheel", 5), 1)):
+            gg = _assert_edges_match_oracle(g, 1)
+            assert gg.gamma == 1 and gg.base.n == m
+            assert gg.base.edge_count == m * (m - 1) // 2
 
     def test_vertex_labels_form_valid_labelling(self):
         for n in range(2, 6):
@@ -82,6 +87,26 @@ class TestStructure:
         b = build_gamma_graph(g, 1)
         assert same_gamma_graph(a, b)
         assert a.tags == tuple(sorted(a.tags, key=lambda t: tuple(sorted(t))))
+
+
+class TestEdgesAgainstOracle:
+    """The bucket pass against the pairwise rule |A & B| == gamma - 1; every
+    connected graph with n <= 6 is checked in TestStructure."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_seeded_random_graphs(self, d):
+        rng = random.Random(14)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            _assert_edges_match_oracle(random_graph(rng, n, rng.choice([0.15, 0.3, 0.5])), d)
+
+    def test_hypercube_five_has_no_edges(self):
+        gg = _assert_edges_match_oracle(make_family("hypercube", 5), 1)
+        assert gg.gamma == 7 and gg.base.n == 320 and gg.base.edge_count == 0
+
+    def test_long_path_distance_three(self):
+        gg = _assert_edges_match_oracle(make_family("path", 60), 3)
+        assert gg.gamma == 9 and gg.base.n == 220 and gg.base.edge_count == 594
 
 
 class TestNaming:
@@ -106,12 +131,13 @@ def test_json_document():
 
 
 def test_node_limit_counts_domination_nodes():
-    # the domination searches at sizes 1, 2 and 3 visit 21 nodes on the 9-cycle
+    # on the 9-cycle the root packing bound is 3 = gamma, and the one
+    # search, at size 3, visits 19 nodes
     g = make_family("cycle", 9)
     with pytest.raises(WorkLimitExceeded) as exc:
-        build_gamma_graph(g, 1, node_limit=20)
-    assert exc.value.examined == 21
-    gg = build_gamma_graph(g, 1, node_limit=21)
+        build_gamma_graph(g, 1, node_limit=18)
+    assert exc.value.examined == 19
+    gg = build_gamma_graph(g, 1, node_limit=19)
     assert gg.gamma == 3 and gg.base.n == 3
 
 
