@@ -462,12 +462,23 @@ def classify(graphs, budget: SearchBudget | None = None) -> ClassificationReport
 # Rendering
 # ---------------------------------------------------------------------------
 
-def verdict_to_json(g: Graph, verdict: Verdict) -> dict:
-    from .labelling import labelling_to_json
+def _word_order(word: str) -> int:
+    """Vertex count of a short-form graph6 word, whose first byte is n + 63."""
+    return ord(word[0]) - 63
 
+
+def verdict_to_json(n: int, verdict: Verdict) -> dict:
+    """A verdict on an n-vertex graph read from graph6, so a labelling's
+    labels are keyed by the graph6 names "1".."n"."""
     doc: dict = {"status": verdict.status, "k_bound": verdict.k_bound}
     if verdict.labelling is not None:
-        doc["labelling"] = labelling_to_json(g, verdict.labelling)
+        labels = verdict.labelling.labels
+        if len(labels) != n:
+            raise ValueError("labelling does not match the graph")
+        doc["labelling"] = {
+            "k": verdict.labelling.k,
+            "labels": {str(v + 1): sorted(label) for v, label in enumerate(labels)},
+        }
     if verdict.witness_form is not None:
         doc["witness_graph6"] = verdict.witness_form.decode("ascii")
     return doc
@@ -477,7 +488,7 @@ def report_to_json(report: ClassificationReport) -> dict:
     return {
         "params": report.params,
         "verdicts": {
-            word: verdict_to_json(parse_graph6(word), verdict)
+            word: verdict_to_json(_word_order(word), verdict)
             for word, verdict in sorted(report.verdicts.items())
         },
         "counts": report.counts,
@@ -488,7 +499,7 @@ def report_summary(report: ClassificationReport) -> str:
     """Status counts per vertex count, as a small fixed-width table."""
     by_n: dict[int, dict[str, int]] = {}
     for word, verdict in report.verdicts.items():
-        n = ord(word[0]) - 63  # a short-form graph6 word starts with n + 63
+        n = _word_order(word)
         by_n.setdefault(n, {}).setdefault(verdict.status, 0)
         by_n[n][verdict.status] += 1
     lines = [f"{'n':>3} {'graphs':>7} {'labellable':>11} {'minimal':>8} {'nonminimal':>11} {'undecided':>10}"]

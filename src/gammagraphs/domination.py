@@ -10,16 +10,23 @@ bound below taken at the root, where nothing is chosen or forbidden; every
 smaller size would be pruned at its root, so those sizes are skipped.  From
 b on the root is never pruned, so its pass is made once for every size.
 
-- A node is pruned when its chosen vertices plus a packing bound exceed s.
-  The bound counts uncovered vertices whose non-forbidden dominators are
-  pairwise disjoint, since each needs a member of its own.  A node is also
-  pruned when some uncovered vertex has no dominator left.
-- The same pass finds the uncovered vertex u with the fewest non-forbidden
-  dominators (the lowest on a tie).  The node branches on each of them, v,
-  in increasing order, and forbids v to the later siblings.
+- A node is pruned by volume when its uncovered vertices outnumber the
+  largest balls left can cover: a cover of size s that extends the chosen
+  vertices adds at most s minus their number, and each added vertex covers
+  at most its own ball, so the uncovered count may not exceed the sum of
+  that many largest ball sizes.  This is one popcount per node.
+- Otherwise a node is pruned when its chosen vertices plus a packing bound
+  exceed s.  The bound counts uncovered vertices whose non-forbidden
+  dominators are pairwise disjoint, since each needs a member of its own.
+  A node is also pruned when some uncovered vertex has no dominator left.
+- The packing pass finds the uncovered vertex u with the fewest
+  non-forbidden dominators (the lowest on a tie).  The node branches on
+  each of them, v, in increasing order, and forbids v to the later
+  siblings.
 - So each minimum set C is found exactly once: at every node on its path C
-  holds the chosen vertices and no forbidden one, passes both prunes, and
-  lies below the branch on the lowest member of C among u's dominators only.
+  holds the chosen vertices and no forbidden one, passes both prunes (each
+  is a lower bound that C itself meets), and lies below the branch on the
+  lowest member of C among u's dominators only.
 
 The covers are sorted as index tuples, so the minimum sets come out in
 lexicographic order.  Every search node, at every size from b on, counts
@@ -114,6 +121,11 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         if count < root_count:
             root, root_count = dominators, count
         rest ^= low
+    # reach[j]: the most vertices that j balls can cover, the sum of the j
+    # largest ball sizes.
+    reach = [0]
+    for count in sorted((ball.bit_count() for ball in balls), reverse=True):
+        reach.append(reach[-1] + count)
 
     def visit(covered: int, forbidden: int) -> int:
         """Count a node below the root and record it if it is a cover; return
@@ -125,6 +137,9 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         if covered == full:
             covers.append(tuple(sorted(chosen)))
             return 0
+        uncovered = full & ~covered
+        if uncovered.bit_count() > reach[size - len(chosen)]:
+            return 0
         allowed = ~forbidden
         # Lower bound: uncovered vertices whose remaining dominators are
         # pairwise disjoint each need a member of their own.  Branch on the
@@ -133,7 +148,7 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         packed = 0
         fewest = 0
         fewest_count = len(balls) + 1
-        rest = full & ~covered
+        rest = uncovered
         while rest:
             low = rest & -rest
             dominators = balls[low.bit_length() - 1] & allowed

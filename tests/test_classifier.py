@@ -42,6 +42,7 @@ from gammagraphs.fixtures import (
 )
 
 from gammagraphs.graphs import canonical_word
+from gammagraphs.labelling import labelling_to_json
 from helpers import all_graphs_on, random_graph, reference_classification, reference_witness
 
 BUDGET = SearchBudget(k_max=6)
@@ -312,6 +313,20 @@ class TestClassify:
         assert doc["params"]["exploratory_n"] == []
         summary = report_summary(report)
         assert "labellable" in summary and " 5 " in summary
+
+    def test_report_json_names_labels_as_graph6_does(self):
+        # labels are keyed by the names the graph6 word parses to, whatever
+        # the names of the graphs that were classified
+        named = [
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], ("a", "b", "c", "d")),
+            Graph.from_edges(3, [(0, 1), (1, 2)], ("x", "y", "z")),
+        ]
+        report = classify(named, BUDGET)
+        verdicts = report_to_json(report)["verdicts"]
+        for word, verdict in report.verdicts.items():
+            assert verdict.status == LABELLABLE
+            rendered = labelling_to_json(parse_graph6(word), verdict.labelling)
+            assert verdicts[word]["labelling"] == rendered
 
 
 class TestShortCircuit:

@@ -156,6 +156,17 @@ class TestClosedForms:
         )
         assert result.gamma == 8 and len(result.min_sets) == 5
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [4, 5, 6, 7])
+    def test_relabelled_cycle_tilings(self, d, gamma):
+        # a cycle of length (2d + 1) * gamma is tiled by d-balls in exactly
+        # 2d + 1 ways, the residue classes, which partition its vertices
+        n = (2 * d + 1) * gamma
+        result = min_dominating_sets(_relabelled(make_family("cycle", n), n), d)
+        assert result.gamma == gamma and len(result.min_sets) == 2 * d + 1
+        assert sum(map(len, result.min_sets)) == n
+        assert frozenset().union(*result.min_sets) == frozenset(range(n))
+
     def test_relabelled_hypercube_five(self):
         result = min_dominating_sets(_relabelled(make_family("hypercube", 5), 11), 1)
         assert result.gamma == 7 and len(result.min_sets) == 320
@@ -227,6 +238,24 @@ def test_sizes_start_at_the_root_packing_bound():
     with pytest.raises(WorkLimitExceeded) as exc:
         min_dominating_sets(g, 1, node_limit=1050)
     assert exc.value.examined == 1051
+
+
+@pytest.mark.parametrize(
+    "n, d, nodes",
+    [
+        # before the volume prune the packing bound alone took 2,960 and
+        # 2,554 nodes on these two searches
+        (42, 3, 256),
+        (40, 2, 305),
+    ],
+)
+def test_volume_prune_node_counts(n, d, nodes):
+    g = _relabelled(make_family("cycle", n), 7)
+    result = min_dominating_sets(g, d, node_limit=nodes)
+    assert result.gamma == n // (2 * d + 1) and len(result.min_sets) == 2 * d + 1
+    with pytest.raises(WorkLimitExceeded) as exc:
+        min_dominating_sets(g, d, node_limit=nodes - 1)
+    assert exc.value.examined == nodes
 
 
 def _search_nodes(g, d):
