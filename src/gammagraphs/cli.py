@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -77,7 +78,10 @@ def _add_set_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--sets-file", help='JSON file {"n": ..., "members": [[...], ...]}')
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gammagraphs",
         description="domination families, gamma-graphs, blockers, realizations, "

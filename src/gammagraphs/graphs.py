@@ -356,35 +356,69 @@ def _neighbour_lists(adj: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _equitable_colors(nbrs: list[list[int]]) -> tuple[int, ...]:
-    """Colour refinement of the graph with these neighbour lists to a fixed
+def _equitable_colors(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Colour refinement of the graph with these neighbour masks to a fixed
     point, starting from degrees.
 
-    The resulting integer colours are isomorphism-invariant because each
-    round relabels signatures by their sorted order.
+    Each round gives vertex v one integer key: its own colour, then one
+    5-bit digit per current class in ascending colour order, the number of
+    v's neighbours in that class, or 31 when there are none.  The new colours
+    are the keys' ranks, so they are isomorphism-invariant.  All keys of a
+    round have the same number of digits, so they order as their digit
+    strings do, and the digit strings order as the signatures (own colour,
+    sorted (class, count) pairs of the nonzero counts) would: colours refine
+    degrees, so two vertices of one colour have equal degree, and at the
+    first class where their counts differ, either both counts are nonzero or
+    the vertex with none there has neighbours left in a later class.  Counts
+    are at most n - 1, so the digits hold for n <= 31.
 
-    Refinement stops at the first round that splits no class, and returns
-    that round's ranks.  They are the fixed point already: a signature
-    starts with the vertex's own colour, so an unsplit round renames the
-    classes by an order-preserving bijection, and the next round's
-    signatures then sort exactly as this round's did, giving equal ranks.
+    Refinement stops at the first round that splits no class, or that leaves
+    every class a singleton, and returns that round's ranks.  They are the
+    fixed point already: a key starts with the vertex's own colour, so an
+    unsplit round renames the classes by an order-preserving bijection, and
+    the next round's keys then sort exactly as this round's did, giving
+    equal ranks; a discrete round is unsplit by any round after it.
     """
-    colors = tuple(map(len, nbrs))
+    n = len(adj)
+    colors = [mask.bit_count() for mask in adj]
     classes = len(set(colors))
     while True:
-        sigs = []
-        for v, vs in enumerate(nbrs):
-            counts: dict[int, int] = {}
-            for u in vs:
-                c = colors[u]
-                counts[c] = counts.get(c, 0) + 1
-            sigs.append((colors[v], tuple(sorted(counts.items()))))
-        ordered = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(ordered)}
-        colors = tuple(rank[s] for s in sigs)
-        if len(ordered) == classes:
-            return colors
+        members = [0] * n
+        for v, c in enumerate(colors):
+            members[c] |= 1 << v
+        masks = [m for m in members if m]
+        keys = []
+        for v, mask in enumerate(adj):
+            key = colors[v]
+            for m in masks:
+                key = (key << 5) | ((mask & m).bit_count() or 31)
+            keys.append(key)
+        ordered = sorted(set(keys))
+        rank = {key: i for i, key in enumerate(ordered)}
+        colors = [rank[key] for key in keys]
+        if len(ordered) == classes or len(ordered) == n:
+            return tuple(colors)
         classes = len(ordered)
+
+
+def _twins_before(adj: tuple[int, ...]) -> list[int]:
+    """For each vertex v, the mask of its twins of smaller index.
+
+    v and w are twins when adj[v] and adj[w] agree outside {v, w}: equal
+    open neighbourhoods (w not adjacent to v) or equal closed ones (w
+    adjacent).  Twinship is an equivalence, and any permutation of a twin
+    class is an automorphism.
+    """
+    twins_before = [0] * len(adj)
+    open_seen: dict[int, int] = {}
+    closed_seen: dict[int, int] = {}
+    for v, mask in enumerate(adj):
+        bit = 1 << v
+        closed = mask | bit
+        twins_before[v] = open_seen.get(mask, 0) | closed_seen.get(closed, 0)
+        open_seen[mask] = open_seen.get(mask, 0) | bit
+        closed_seen[closed] = closed_seen.get(closed, 0) | bit
+    return twins_before
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -402,8 +436,7 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     are equal, and again once a leaf below it has become the best.
 
     Twin rule: a vertex is skipped while a twin of smaller index is still
-    unplaced.  v and w are twins when adj[v] and adj[w] agree outside
-    {v, w}; twinship is an equivalence, and twins share a colour.  Any
+    unplaced (see `_twins_before`).  Twins share a colour, and any
     permutation of a twin class is an automorphism, so sorting every class
     into index order maps each ordering to one with the same bit string, and
     the minimum over the orderings left is the minimum over all.
@@ -411,21 +444,13 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     if n == 0:
         return bytes([63])
     nbrs = _neighbour_lists(adj)
-    colors = _equitable_colors(nbrs)
+    colors = _equitable_colors(adj)
     target = sorted(colors)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
     # twins share a colour, so the earlier twins are earlier in the class too
-    twins_before = [0] * n
-    open_seen: dict[int, int] = {}
-    closed_seen: dict[int, int] = {}
-    for v, mask in enumerate(adj):
-        bit = 1 << v
-        closed = mask | bit
-        twins_before[v] = open_seen.get(mask, 0) | closed_seen.get(closed, 0)
-        open_seen[mask] = open_seen.get(mask, 0) | bit
-        closed_seen[closed] = closed_seen.get(closed, 0) | bit
+    twins_before = _twins_before(adj)
 
     best: list[int] = []
     rows = [0] * n

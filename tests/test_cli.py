@@ -269,6 +269,26 @@ class TestDeterminismAndOutput:
         assert json.loads(target.read_text())["gamma"] == 2
         assert capsys.readouterr().out == ""
 
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_survives_a_usage_error(self, capsys):
+        gamma = ["gamma", "--d", "1", "--graph6", DEMO_WORD]
+        classify = ["classify", "--max-n", "3"]
+        with pytest.raises(SystemExit) as exc:
+            run(["gamma", "--graph6", DEMO_WORD])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        outputs = []
+        for argv in (gamma, classify, gamma):
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[2] == outputs[0]
+        assert json.loads(outputs[0])["gamma"] == 2
+        assert json.loads(outputs[1])["counts"]["labellable"] == 4
+        assert run(classify) == 0
+        assert capsys.readouterr().out == outputs[1]
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -25,7 +25,6 @@ from gammagraphs.classify import _connected_words
 from gammagraphs.graphs import (
     _canonical_word,
     _equitable_colors,
-    _neighbour_lists,
     canonical_word,
 )
 
@@ -291,11 +290,22 @@ class TestCanonicalForm:
             assert word == oracle_canonical_word(g.n, g.adj), write_graph6(g)
 
     def test_colors_match_oracle(self):
+        # up to 16 vertices at densities up to 0.95; in the star and the
+        # complete graph on 16 vertices a vertex has 15 neighbours in one
+        # class, the largest refinement digit CANONICAL_FORM_MAX_VERTICES allows
         rng = random.Random(13)
-        for i in range(100):
-            g = random_graph(rng, rng.randint(0, 10), (0.1, 0.3, 0.5, 0.7)[i % 4])
-            colors = _equitable_colors(_neighbour_lists(g.adj))
-            assert list(colors) == oracle_equitable_colors(g.n, g.adj)
+        graphs = [
+            Graph(0, (), ()),
+            make_family("complete", 16),
+            make_family("complete_bipartite", 1, 15),
+        ]
+        graphs += [
+            random_graph(rng, rng.randint(1, 16), (0.1, 0.3, 0.5, 0.7, 0.95)[i % 5])
+            for i in range(200)
+        ]
+        for g in graphs:
+            colors = _equitable_colors(g.adj)
+            assert list(colors) == oracle_equitable_colors(g.n, g.adj), write_graph6(g)
 
     @pytest.mark.parametrize(
         "n, digest",
