@@ -7,45 +7,57 @@ labellability is hereditary on induced subgraphs).  Searches are bounded, so
 every non-labellable verdict is relative to the budget's k_max, and budget
 exhaustion surfaces as an explicit "undecided" status rather than a verdict.
 
-A run never proves twice what it already knows.  It keeps one record per
-isomorphism class, keyed by canonical form (`_Records`): the class's own
-status, and its witness, the least canonical form among its induced
-subgraphs decided unlabellable, itself included (forms order by size first).
-A graph's record comes from the records of its connected deletions, by this
-lemma: every connected proper induced subgraph W of a connected graph g lies
-in a connected deletion.  Grow a spanning tree of g out from a spanning tree
-of W; it has a leaf v outside W, so g - v is connected and contains W.
+A run never proves twice what it already knows.  Every graph's witness is
+the least canonical form among its induced subgraphs decided unlabellable,
+itself included (forms order by size first), and a graph is searched only
+when no proper induced subgraph carries one: such a subgraph makes it
+unlabellable by heredity (`SearchBudget` shows the k bounds agree).  Call a
+class *self-witnessed* when its own search found it unlabellable and no
+proper induced subgraph carried a witness.  A smallest unlabellable induced
+subgraph is connected (a component of a disconnected unlabellable graph is
+already unlabellable) and self-witnessed (a witness of its own would be
+smaller still).  Two rules find the witness.
 
-- **The witness is the least of the deletions' witnesses.**  A smallest
-  unlabellable induced subgraph is connected (a component of a disconnected
-  unlabellable graph is already unlabellable), so by the lemma it lies in a
-  connected deletion.  A disconnected g takes its components' records
-  instead; each connected induced subgraph lies in one of them.
-- **g is searched only when no deletion carries a witness.**  A deletion
-  with a witness makes g unlabellable without a search of its own
-  (heredity; `SearchBudget` shows the k bounds agree).  Otherwise g's search
-  decides it, and an unlabellable g is its own witness.  It is minimal when
+- **Containment, for `classify_connected` (the CLI's `--max-n`).**  The walk
+  settles every connected graph on 1..max_n vertices in graph6 order, whose
+  first byte is the vertex count, so every smaller class is settled before
+  g.  g's witness is the least self-witnessed form that embeds in g as a
+  proper induced subgraph, found by one scan of g's vertex subsets (see
+  `_smallest_unlabellable_subset`); no deletion of g gets a canonical form.
+  A g with no witness is searched, and an unlabellable g becomes
+  self-witnessed.  It is minimal unless a connected deletion is an
+  *undecided* class, whose own search ran out of nodes; only while the run
+  holds an undecided class on g.n - 1 vertices are g's deletions given forms
+  to look for one.
+- **Records, for `classify` (`--in` and library batches).**  Not every
+  smaller class need be in the batch, so the run keeps one record per
+  isomorphism class, keyed by canonical form (`_Records`): the class's own
+  status and its witness.  A graph's record comes from the records of its
+  connected deletions, by this lemma: every connected proper induced
+  subgraph W of a connected graph g lies in a connected deletion.  Grow a
+  spanning tree of g out from a spanning tree of W; it has a leaf v outside
+  W, so g - v is connected and contains W.  So the witness is the least of
+  the deletions' witnesses, and an unlabellable g with none is minimal when
   every connected deletion is labellable: each component of a disconnected
-  deletion lies in one of those.
-- **The witness tuple is found by one scan.**  `Verdict.witness` is the first
-  vertex subset, in lexicographic order, with the witness's size and form:
-  the least (form, tuple) among the smallest unlabellable subsets.
+  deletion lies in one of those.  A disconnected g takes its components'
+  records instead; each connected induced subgraph lies in one of them.  A
+  record missing from the memo is settled on demand by the same rule.
 
-Inputs are classified in graph6 order, whose first byte is the vertex count,
-so under `--max-n` every deletion's record is kept before it is read; a
-record missing from the memo is settled on demand by the same rule.  This
-gives exactly what deciding every graph, deletion and subset afresh would,
-as long as no search runs out of nodes.  Under a node limit that stops
-searches, one difference remains: a graph whose own search would end
-"undecided" is settled nonminimal when a deletion carries a witness.  The
-verdict is sound, since it rests on a completed search of a subgraph.
+Both rules give the same verdicts.  `Verdict.witness` is the first vertex
+subset, in lexicographic order, with the witness's size and form: the least
+(form, tuple) among the smallest unlabellable subsets.  This is exactly what
+deciding every graph, deletion and subset afresh would give, as long as no
+search runs out of nodes.  Under a node limit that stops searches, one
+difference remains: a graph whose own search would end "undecided" is
+settled nonminimal when a subgraph carries a witness.  The verdict is sound,
+since it rests on a completed search of a subgraph.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import UnsupportedSizeError
@@ -368,6 +380,29 @@ class _Records:
             witness = canonical_form(g)
         return (own.status, witness), own, parts
 
+    def verdict(self, g: Graph) -> Verdict:
+        """g's verdict, keeping its record.
+
+        A part (see `_parts`) whose record carries a witness settles g as
+        nonminimal without searching g itself.  An unlabellable g with no
+        such part is minimal when every part is labellable: each component
+        of a disconnected deletion lies in a connected deletion.
+        """
+        record, own, parts = self.settle(g)
+        self.keep(g, record)
+        witness = record[1]
+        k_bound = self.budget.k_bound(g)
+        if witness is None:
+            assert own is not None
+            return own
+        if witness[0] - 63 < g.n:
+            found = _smallest_unlabellable_subset(g, _FormTable([witness]))
+            assert found is not None, "no induced subgraph has the recorded witness form"
+            return Verdict(UNLABELLABLE_NONMINIMAL, k_bound, witness=found[0], witness_form=witness)
+        if all(status == LABELLABLE for status, _ in parts):
+            return Verdict(MINIMALLY_UNLABELLABLE, k_bound)
+        return Verdict(UNDECIDED, k_bound)
+
 
 def _parts(g: Graph) -> list[Masks]:
     """The proper induced subgraphs whose records make up g's: its
@@ -379,30 +414,60 @@ def _parts(g: Graph) -> list[Masks]:
     return list(_connected_deletions(g.adj))
 
 
-def _smallest_unlabellable_subset(g: Graph, form: bytes) -> tuple[int, ...]:
-    """The first vertex subset, in lexicographic order, whose induced
-    subgraph has the recorded witness form.
+class _FormTable:
+    """Canonical forms filed by vertex count and sorted degree sequence: the
+    forms the witness scan looks for."""
 
-    The record holds the least form among g's induced subgraphs decided
-    unlabellable, so this is the least (form, vertex tuple) among the
-    smallest of them.  A subset gets a canonical form only when its degree
-    sequence is the witness's.
+    def __init__(self, forms: Iterable[bytes] = ()):
+        self.by_size: dict[int, dict[tuple[int, ...], set[bytes]]] = {}
+        self.least: dict[int, bytes] = {}
+        for form in forms:
+            self.add(form)
+
+    def add(self, form: bytes) -> None:
+        size = form[0] - 63
+        self.by_size.setdefault(size, {}).setdefault(_degree_sequence(form), set()).add(form)
+        if size not in self.least or form < self.least[size]:
+            self.least[size] = form
+
+
+def _smallest_unlabellable_subset(
+    g: Graph, table: _FormTable
+) -> tuple[tuple[int, ...], bytes] | None:
+    """The least (form, vertex tuple) over g's proper induced subgraphs
+    whose form is in `table`, or None when none is.
+
+    Forms order by size first, so sizes are scanned smallest first, and the
+    scan of a size stops at the first subset, in lexicographic order, with
+    that size's least form in the table.  A subset gets a canonical form only
+    when its degree sequence is one of the table's.
     """
-    size = form[0] - 63
-    degrees = _degree_sequence(form)
-    for subset in itertools.combinations(range(g.n), size):
-        inside = sum(1 << v for v in subset)
-        if sorted((g.adj[v] & inside).bit_count() for v in subset) != degrees:
-            continue
-        adj = tuple(
-            sum(1 << i for i, u in enumerate(subset) if (g.adj[v] >> u) & 1) for v in subset
-        )
-        if canonical_word(size, adj) == form:
-            return subset
-    raise AssertionError("no induced subgraph has the recorded witness form")
+    bits = [1 << v for v in range(g.n)]
+    for size in sorted(s for s in table.by_size if s < g.n):
+        by_degrees = table.by_size[size]
+        least = table.least[size]
+        best = None
+        # the two walks stay in step: a subset's vertex bits and their rows
+        for chosen, rows in zip(itertools.combinations(bits, size), itertools.combinations(g.adj, size)):
+            inside = sum(chosen)
+            degrees = [(row & inside).bit_count() for row in rows]
+            degrees.sort()
+            forms = by_degrees.get(tuple(degrees))
+            if forms is None:
+                continue
+            adj = tuple(sum(1 << i for i, bit in enumerate(chosen) if row & bit) for row in rows)
+            form = canonical_word(size, adj)
+            if form in forms and (best is None or form < best[1]):
+                subset = tuple(bit.bit_length() - 1 for bit in chosen)
+                if form == least:
+                    return subset, form
+                best = subset, form
+        if best is not None:
+            return best
+    return None
 
 
-def _degree_sequence(form: bytes) -> list[int]:
+def _degree_sequence(form: bytes) -> tuple[int, ...]:
     """The sorted degrees of the graph whose graph6 word is `form`, read
     straight off its bits (see `graphs.write_graph6` for their order)."""
     n = form[0] - 63
@@ -417,53 +482,67 @@ def _degree_sequence(form: bytes) -> list[int]:
             if (bits >> pos) & 1:
                 degree[i] += 1
                 degree[j] += 1
-    return sorted(degree)
+    return tuple(sorted(degree))
+
+
+class _Contained:
+    """The rule of a `classify_connected` walk: every connected graph on
+    fewer vertices than g has already been settled, so g's witness is found
+    by containment, and no deletion of g needs a canonical form.
+
+    A class is *self-witnessed* when it was searched, found unlabellable, and
+    has no smaller witness; its form joins the table.  Undecided classes,
+    whose own search ran out of nodes with no witness found, are kept by
+    form and vertex count.
+    """
+
+    def __init__(self, budget: SearchBudget):
+        self.budget = budget
+        self.witnesses = _FormTable()
+        self.undecided: dict[int, set[bytes]] = {}
+
+    def verdict(self, g: Graph) -> Verdict:
+        k_bound = self.budget.k_bound(g)
+        found = _smallest_unlabellable_subset(g, self.witnesses)
+        if found is not None:
+            subset, form = found
+            return Verdict(UNLABELLABLE_NONMINIMAL, k_bound, witness=subset, witness_form=form)
+        own = decide_labellable(g, self.budget)
+        if own.status == LABELLABLE:
+            return own
+        form = canonical_form(g)
+        if own.status == UNDECIDED:
+            self.undecided.setdefault(g.n, set()).add(form)
+            return own
+        self.witnesses.add(form)
+        undecided = self.undecided.get(g.n - 1)
+        if undecided and any(
+            canonical_word(n, adj) in undecided for n, adj in _connected_deletions(g.adj)
+        ):
+            return Verdict(UNDECIDED, k_bound)
+        return Verdict(MINIMALLY_UNLABELLABLE, k_bound)
 
 
 def is_minimally_unlabellable(
-    g: Graph, budget: SearchBudget | None = None, _records: _Records | None = None
+    g: Graph, budget: SearchBudget | None = None, _rule: _Records | _Contained | None = None
 ) -> Verdict:
     """Refine an unlabellable graph into minimal vs nonminimal; labellable
     inputs pass straight through and budget exhaustion yields "undecided".
 
-    A part (see `_parts`) whose record carries a witness settles g as
-    nonminimal without searching g itself.  An unlabellable g with no such
-    part is minimal when every part is labellable: each component of a
-    disconnected deletion lies in a connected deletion.
+    Alone, or under `classify`, g is settled from the records of its parts
+    (see `_Records.verdict`); under `classify_connected`, by containment of
+    the witnesses already found (see `_Contained`).
     """
     budget = budget or SearchBudget()
-    records = _records if _records is not None else _Records(budget)
-    record, own, parts = records.settle(g)
-    records.keep(g, record)
-    witness = record[1]
-    k_bound = budget.k_bound(g)
-    if witness is None:
-        assert own is not None
-        return own
-    if witness[0] - 63 < g.n:
-        return Verdict(
-            UNLABELLABLE_NONMINIMAL,
-            k_bound,
-            witness=_smallest_unlabellable_subset(g, witness),
-            witness_form=witness,
-        )
-    if all(status == LABELLABLE for status, _ in parts):
-        return Verdict(MINIMALLY_UNLABELLABLE, k_bound)
-    return Verdict(UNDECIDED, k_bound)
+    rule = _rule if _rule is not None else _Records(budget)
+    return rule.verdict(g)
 
 
-def classify(graphs, budget: SearchBudget | None = None) -> ClassificationReport:
-    """Give every graph a final verdict.  Budget exhaustion is recorded per
-    graph as "undecided"; the batch never aborts.  Results are keyed and
-    ordered by graph6 word."""
-    budget = budget or SearchBudget()
-    items = sorted({write_graph6(g): g for g in graphs}.items())
-    records = _Records(budget)
-    verdicts = {word: is_minimally_unlabellable(g, budget, records) for word, g in items}
+def _report(verdicts: dict[str, Verdict], budget: SearchBudget) -> ClassificationReport:
     counts = {LABELLABLE: 0, MINIMALLY_UNLABELLABLE: 0, UNLABELLABLE_NONMINIMAL: 0, UNDECIDED: 0}
     for v in verdicts.values():
         counts[v.status] += 1
-    n_values = sorted({g.n for _, g in items})
+    n_values = sorted({_word_order(word) for word in verdicts})
     params = {
         "k_max": budget.k_max,
         "node_limit": budget.node_limit,
@@ -471,6 +550,51 @@ def classify(graphs, budget: SearchBudget | None = None) -> ClassificationReport
         "exploratory_n": [n for n in n_values if n >= 7],
     }
     return ClassificationReport(params, verdicts, counts)
+
+
+def classify(graphs, budget: SearchBudget | None = None) -> ClassificationReport:
+    """Give every graph a final verdict.  Budget exhaustion is recorded per
+    graph as "undecided"; the batch never aborts.  Results are keyed and
+    ordered by graph6 word.
+
+    The graphs may be any batch, so each is settled from per-class records
+    (`_Records`); for every connected graph up to a size, `classify_connected`
+    gives the same verdicts with fewer canonical forms."""
+    budget = budget or SearchBudget()
+    items = sorted({write_graph6(g): g for g in graphs}.items())
+    records = _Records(budget)
+    return _report({word: is_minimally_unlabellable(g, budget, records) for word, g in items}, budget)
+
+
+def classify_connected(max_n: int, budget: SearchBudget | None = None) -> ClassificationReport:
+    """`classify` of every connected graph on 1..max_n vertices, settled by
+    containment of the witnesses already found instead of by records.
+
+    The graphs are settled in graph6 order, which puts smaller graphs first,
+    so when g is reached every connected graph on fewer vertices has been.
+    g's witness is the least self-witnessed form that embeds in g as a
+    proper induced subgraph (`_Contained`), and this is the witness
+    `classify` records: take a smallest induced subgraph W of g that the run
+    settled unlabellable.  W is connected, since a component of a
+    disconnected unlabellable graph is already unlabellable.  A witness of
+    W's own would be smaller still, so W has none: it was searched and found
+    unlabellable, that is, self-witnessed.  Every self-witnessed form is
+    settled unlabellable, and forms order by size first, so the least
+    self-witnessed form embedded is the least form among g's smallest
+    induced subgraphs settled unlabellable.
+
+    A g with no witness is searched.  An unlabellable g becomes
+    self-witnessed.  None of its connected deletions carries a witness, so
+    each is labellable or undecided, and g is minimal unless one is
+    undecided.  Only while the run holds an undecided class on g.n - 1
+    vertices are g's deletions given canonical forms to look for one.
+    """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    budget = budget or SearchBudget()
+    graphs = [g for n in range(1, max_n + 1) for g in enumerate_connected_graphs(n)]
+    rule = _Contained(budget)
+    return _report({write_graph6(g): is_minimally_unlabellable(g, budget, rule) for g in graphs}, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .classify import classify, enumerate_connected_graphs, report_summary, report_to_json
+from .classify import classify, classify_connected, report_summary, report_to_json
 from .clutters import blocker, clutter_from_json, clutter_to_json, validate_clutter
 from .domination import min_dominating_sets, result_to_json
 from .errors import DEFAULT_NODE_LIMIT, UnsupportedSizeError, WorkLimitExceeded
@@ -39,7 +39,7 @@ def _emit(doc, out_path: str | None) -> None:
 
 
 def _input_graphs(args) -> list:
-    if getattr(args, "graph6", None):
+    if getattr(args, "graph6", None) is not None:
         return [parse_graph6(args.graph6)]
     with open(args.infile, encoding="ascii") as fh:
         graphs = read_graph6_lines(fh.read())
@@ -49,7 +49,7 @@ def _input_graphs(args) -> list:
 
 
 def _input_family(args):
-    if getattr(args, "sets", None):
+    if args.sets is not None:
         members = []
         for chunk in args.sets.split(","):
             chunk = chunk.strip()
@@ -190,12 +190,9 @@ def _run_classify(args) -> int:
     if args.max_n is not None:
         if args.max_n < 1:
             raise ValueError("--max-n must be >= 1")
-        graphs = []
-        for n in range(1, args.max_n + 1):
-            graphs.extend(enumerate_connected_graphs(n))
+        report = classify_connected(args.max_n, _budget(args))
     else:
-        graphs = _input_graphs(args)
-    report = classify(graphs, _budget(args))
+        report = classify(_input_graphs(args), _budget(args))
     _emit(report_to_json(report), args.out)
     print(report_summary(report), file=sys.stderr)
     return EXIT_OK

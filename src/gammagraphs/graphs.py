@@ -9,6 +9,7 @@ which keeps set operations cheap throughout the package.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 from dataclasses import dataclass
 
@@ -545,6 +546,12 @@ def make_family(name: str, *params: int) -> Graph:
     }
     if key not in builders:
         raise ValueError(f"unknown family {name!r}; known: {sorted(builders)}")
+    expected = list(inspect.signature(builders[key]).parameters)
+    if len(params) != len(expected):
+        raise ValueError(
+            f"family {name!r} takes {len(expected)} parameter(s) ({', '.join(expected)}), "
+            f"got {len(params)}"
+        )
     return builders[key](*params)
 
 

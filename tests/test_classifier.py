@@ -30,6 +30,7 @@ from gammagraphs.classify import (
     UNLABELLABLE_NONMINIMAL,
     Verdict,
     classify,
+    classify_connected,
     decide_labellable,
     enumerate_connected_graphs,
     is_minimally_unlabellable,
@@ -414,6 +415,57 @@ class TestShortCircuit:
         searched.clear()
         assert is_minimally_unlabellable(fan, BUDGET).witness == verdict.witness
         assert any(are_isomorphic(g, fan) for g in searched)
+
+
+class TestClassifyConnected:
+    """classify_connected settles every connected graph up to a size by
+    containment of the witnesses already found; these tests hold it to
+    classify's per-class records on the same graphs."""
+
+    GRAPHS = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+
+    # at node limits 500 and 1000 some minimal-looking graphs have a deletion
+    # whose own search ran out, which leaves their minimality undecided
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            SearchBudget(),
+            SearchBudget(k_max=2),
+            SearchBudget(k_max=3),
+            SearchBudget(node_limit=500),
+            SearchBudget(node_limit=1000),
+        ],
+        ids=["default", "k2", "k3", "nodes500", "nodes1000"],
+    )
+    def test_matches_records(self, budget):
+        got = classify_connected(7, budget)
+        ref = classify(self.GRAPHS, budget)
+        assert list(got.verdicts) == list(ref.verdicts)
+        assert got == ref
+
+    def test_undecided_deletion_leaves_minimality_undecided(self, monkeypatch):
+        real = classify_module.decide_labellable
+
+        def five_vertex_searches_run_out(g, budget=None):
+            return Verdict(UNDECIDED, 5) if g.n == 5 else real(g, budget)
+
+        monkeypatch.setattr(classify_module, "decide_labellable", five_vertex_searches_run_out)
+        got = classify_connected(6, BUDGET)
+        assert got.verdicts[canonical_form(make_family("wheel", 6)).decode()].status == UNDECIDED
+        assert got == classify([g for n in range(1, 7) for g in enumerate_connected_graphs(n)], BUDGET)
+
+    def test_no_deletion_is_read_without_an_undecided_class(self, monkeypatch):
+        def forbidden(adj):
+            raise AssertionError(f"deletions of a {len(adj)}-vertex graph read")
+
+        monkeypatch.setattr(classify_module, "_connected_deletions", forbidden)
+        assert classify_connected(6, BUDGET).count(MINIMALLY_UNLABELLABLE) == 8
+
+    def test_sizes_out_of_range(self):
+        with pytest.raises(ValueError):
+            classify_connected(0)
+        with pytest.raises(UnsupportedSizeError):
+            classify_connected(8)
 
 
 def test_package_attribute_is_the_classify_module():

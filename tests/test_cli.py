@@ -152,6 +152,25 @@ def test_malformed_sets_file_is_usage_error(tmp_path, capsys, command, doc):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--d", "1", "--graph6", ""],
+        ["gammagraph", "--d", "1", "--graph6", ""],
+        ["label", "--graph6", ""],
+        ["blocker", "--sets", ""],
+        ["realize", "--d", "1", "--sets", ""],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_source_string_is_usage_error(capsys, argv):
+    # an empty value is still the source given, not a missing one
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "empty graph6 word" in captured.err or "--sets expects" in captured.err
+
+
 class TestLabel:
     def test_found(self, capsys):
         word = write_graph6(make_family("cycle", 5))
@@ -228,6 +247,21 @@ class TestFamily:
 
     def test_bad_parameters(self, capsys):
         assert run(["family", "wheel", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["family", "fan", "0"], "takes 2 parameter(s) (m, n), got 1"),
+            (["family", "path", "3", "4"], "takes 1 parameter(s) (n), got 2"),
+            (["family", "complete-bipartite", "1", "2", "3"], "takes 2 parameter(s) (m, n), got 3"),
+        ],
+        ids=["fan-one", "path-two", "bipartite-three"],
+    )
+    def test_wrong_parameter_count_is_usage_error(self, capsys, argv, expected):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert expected in captured.err
 
 
 class TestFixturesCommand:
