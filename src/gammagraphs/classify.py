@@ -257,15 +257,16 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 def _combine_component_labellings(
     g: Graph, parts: list[tuple[tuple[int, ...], dict[int, frozenset[int]], int]]
 ) -> Labelling:
-    """Merge per-component labellings: equalize k (adjoining fresh common
-    symbols), then shift each component onto a disjoint symbol universe."""
+    """Merge per-component labellings, each keyed by the component's own
+    vertex indices: equalize k (adjoining fresh common symbols), then shift
+    each component onto a disjoint symbol universe."""
     target_k = max(k for _, _, k in parts)
     if len(parts) > 1:
         target_k = max(target_k, 2)
     labels: list[frozenset[int]] = [frozenset()] * g.n
     offset = 0
     for comp, part_labels, k in parts:
-        lab = Labelling(k, tuple(part_labels[v] for v in comp))
+        lab = Labelling(k, tuple(part_labels[idx] for idx in range(len(comp))))
         while lab.k < target_k:
             lab = with_common_symbol(lab)
         width = lab.max_symbol()
@@ -287,25 +288,31 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
     k_bound = budget.k_bound(g)
     if g.n == 0:
         return Verdict(LABELLABLE, k_bound, Labelling(1, ()))
+    comps = connected_components(g)
     parts = []
-    for comp in connected_components(g):
-        sub = induced_subgraph(g, comp)
+    for comp in comps:
+        sub = g if len(comps) == 1 else induced_subgraph(g, comp)
         survivors, deletions = _pendant_elimination(sub)
         base: dict[int, frozenset[int]] = {}
         base_k = 1
         if survivors:
-            core = induced_subgraph(sub, survivors)
+            core = sub if len(survivors) == sub.n else induced_subgraph(sub, survivors)
             outcome = find_labelling(core, budget)
             if outcome.status == "budget_exhausted":
                 return Verdict(UNDECIDED, k_bound)
             if outcome.status == "absent_up_to_k":
                 return Verdict(UNLABELLABLE, k_bound)
             assert outcome.labelling is not None
-            base = {survivors[i]: outcome.labelling.labels[i] for i in range(len(survivors))}
+            base = dict(zip(survivors, outcome.labelling.labels))
             base_k = outcome.labelling.k
         full_labels, full_k = reattach_pendants(deletions, base, base_k)
-        parts.append((comp, {comp[j]: full_labels[j] for j in range(len(comp))}, full_k))
-    combined = _combine_component_labellings(g, parts)
+        parts.append((comp, full_labels, full_k))
+    if len(parts) == 1:
+        # g is its own component: its labels need no shift
+        _, full_labels, full_k = parts[0]
+        combined = Labelling(full_k, tuple(full_labels[v] for v in range(g.n)))
+    else:
+        combined = _combine_component_labellings(g, parts)
     check = is_valid_labelling(g, combined)
     assert check, f"reconstructed labelling invalid: {check.reason}"
     return Verdict(LABELLABLE, k_bound, combined)

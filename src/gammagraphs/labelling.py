@@ -99,22 +99,31 @@ def is_valid_labelling(g: Graph, lab: Labelling) -> ValidationResult:
     elements.  Reports the first offending pair (and intersection size)."""
     if len(lab.labels) != g.n:
         raise ValueError(f"labelling assigns {len(lab.labels)} vertices, graph has {g.n}")
+    k = lab.k
     for v, s in enumerate(lab.labels):
-        if len(s) != lab.k:
+        if len(s) != k:
             return ValidationResult(
-                False, f"label of vertex {g.names[v]} has size {len(s)}, expected {lab.k}"
+                False, f"label of vertex {g.names[v]} has size {len(s)}, expected {k}"
             )
+    labels = lab.labels
     for i in range(g.n):
+        row = g.adj[i]
+        li = labels[i]
         for j in range(i + 1, g.n):
-            inter = len(lab.labels[i] & lab.labels[j])
-            pair = (g.names[i], g.names[j])
-            if lab.labels[i] == lab.labels[j]:
-                return ValidationResult(False, "duplicate label", pair, inter)
-            if g.has_edge(i, j):
-                if inter != lab.k - 1:
-                    return ValidationResult(False, "adjacent pair misses k-1 overlap", pair, inter)
-            elif inter == lab.k - 1:
-                return ValidationResult(False, "non-adjacent pair overlaps in k-1", pair, inter)
+            inter = len(li & labels[j])
+            if (row >> j) & 1:
+                if inter == k - 1:
+                    continue
+            elif inter < k - 1:
+                continue
+            # every label has size k, so only equal labels meet in k
+            if inter == k:
+                reason = "duplicate label"
+            elif (row >> j) & 1:
+                reason = "adjacent pair misses k-1 overlap"
+            else:
+                reason = "non-adjacent pair overlaps in k-1"
+            return ValidationResult(False, reason, (g.names[i], g.names[j]), inter)
     return ValidationResult(True)
 
 
@@ -161,17 +170,18 @@ def _search_order(g: Graph):
     position when such a pair exists (the induced-path pruning hook).
     """
     n = g.n
-    degs = [g.degree(v) for v in range(n)]
+    adj = g.adj
+    degs = [mask.bit_count() for mask in adj]
     start = max(range(n), key=lambda v: (degs[v], -v))
     order = [start]
-    placed = {start: 0}
+    placed = 1 << start
     while len(order) < n:
         best = None
         best_key = None
         for v in range(n):
-            if v in placed:
+            if (placed >> v) & 1:
                 continue
-            pn = sum(1 for u in g.neighbors(v) if u in placed)
+            pn = (adj[v] & placed).bit_count()
             if pn == 0:
                 continue
             key = (pn, degs[v], -v)
@@ -180,26 +190,38 @@ def _search_order(g: Graph):
                 best = v
         if best is None:
             raise ValueError("labelling search requires a connected graph")
-        placed[best] = len(order)
+        placed |= 1 << best
         order.append(best)
 
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    # pos_adj[i]: the positions adjacent to position i
+    pos_adj = [0] * n
+    for i, v in enumerate(order):
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            pos_adj[i] |= 1 << position[low.bit_length() - 1]
+            rest ^= low
     parent_pos = [0] * n
     adj_pos = [0] * n
     p3_pair: list[tuple[int, int] | None] = [None] * n
     for i in range(1, n):
-        v = order[i]
-        nbr_positions = sorted(placed[u] for u in g.neighbors(v) if placed[u] < i)
-        parent_pos[i] = nbr_positions[0]
-        for j in nbr_positions:
-            adj_pos[i] |= 1 << j
-        for a in range(len(nbr_positions)):
-            if p3_pair[i]:
+        earlier = pos_adj[i] & ((1 << i) - 1)
+        adj_pos[i] = earlier
+        parent_pos[i] = (earlier & -earlier).bit_length() - 1
+        # the first pair (p, q), p < q, in lexicographic order with p and q
+        # non-adjacent
+        rest = earlier
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            apart = rest & ~pos_adj[p]
+            if apart:
+                p3_pair[i] = (p, (apart & -apart).bit_length() - 1)
                 break
-            for b in range(a + 1, len(nbr_positions)):
-                p, q = nbr_positions[a], nbr_positions[b]
-                if not g.has_edge(order[p], order[q]):
-                    p3_pair[i] = (p, q)
-                    break
     return order, parent_pos, adj_pos, p3_pair
 
 
@@ -356,21 +378,32 @@ def _pendant_elimination(g: Graph):
 
     Returns (surviving vertex indices ascending, deletion log), where each
     log entry is (vertex, its single remaining neighbour or None).
+
+    Deleting v lowers only its neighbour's degree, and every vertex below v
+    had two or more live neighbours, so the next scan starts at the lower of
+    v and that neighbour.
     """
-    alive = set(range(g.n))
+    adj = g.adj
+    alive = (1 << g.n) - 1
     deletions: list[tuple[int, int | None]] = []
+    start = 0
     while True:
-        victim = None
-        for v in sorted(alive):
-            nbrs = [u for u in g.neighbors(v) if u in alive]
-            if len(nbrs) <= 1:
-                victim = (v, nbrs[0] if nbrs else None)
+        rest = (alive >> start) << start
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            live = adj[v] & alive
+            if live & (live - 1) == 0:
                 break
-        if victim is None:
+            rest ^= low
+        else:
             break
-        alive.remove(victim[0])
-        deletions.append(victim)
-    return tuple(sorted(alive)), tuple(deletions)
+        alive ^= low
+        attach = live.bit_length() - 1 if live else None
+        deletions.append((v, attach))
+        start = v if attach is None else min(v, attach)
+    survivors = tuple(v for v in range(g.n) if (alive >> v) & 1)
+    return survivors, tuple(deletions)
 
 
 def reduce_pendants(g: Graph) -> Graph:
@@ -390,6 +423,8 @@ def reattach_pendants(
     symbol.  Re-adding an isolated vertex: give it k fresh symbols (after
     lifting k to at least 2 so disjointness reads as non-adjacency).
     """
+    if not deletions:
+        return base_labels, k
     labels = {v: set(s) for v, s in base_labels.items()}
     next_sym = max((max(s) for s in labels.values() if s), default=0)
     for v, attach in reversed(deletions):

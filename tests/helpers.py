@@ -128,6 +128,22 @@ def oracle_labelling_exists(g: Graph, k: int) -> bool:
     return rec(0)
 
 
+def oracle_pendant_elimination(g: Graph):
+    """Delete the lowest-index vertex with at most one live neighbour until
+    none is left, finding live neighbours by testing every live vertex.
+    Returns (survivors ascending, log of (vertex, its neighbour or None))."""
+    alive = set(range(g.n))
+    log = []
+    while True:
+        low = [v for v in sorted(alive) if sum(g.has_edge(u, v) for u in alive) <= 1]
+        if not low:
+            return tuple(sorted(alive)), tuple(log)
+        v = low[0]
+        nbrs = [u for u in alive if g.has_edge(u, v)]
+        log.append((v, nbrs[0] if nbrs else None))
+        alive.remove(v)
+
+
 def oracle_minimum_k(g: Graph, k_limit: int) -> int | None:
     for k in range(1, k_limit + 1):
         if oracle_labelling_exists(g, k):

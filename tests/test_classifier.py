@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import itertools
 import random
@@ -14,6 +15,7 @@ from gammagraphs import (
     UnsupportedSizeError,
     are_isomorphic,
     canonical_form,
+    connected_components,
     induced_subgraph,
     is_connected,
     is_valid_labelling,
@@ -191,6 +193,25 @@ class TestDecideLabellable:
             verdict = decide_labellable(g, BUDGET)
             assert verdict.status == LABELLABLE, f"{name}{params}"
             assert is_valid_labelling(g, verdict.labelling)
+
+    def test_random_graph_verdicts_pinned(self):
+        # 300 seeded sparse graphs on 1..9 vertices, with isolated vertices,
+        # pendants and several components, under the default budget
+        rng = random.Random(9)
+        graphs = [random_graph(rng, rng.randint(1, 9), 0.3) for _ in range(300)]
+        degrees = [g.degree(v) for g in graphs for v in range(g.n)]
+        assert 0 in degrees and 1 in degrees
+        assert any(
+            sum(len(comp) > 1 for comp in connected_components(g)) >= 2 for g in graphs
+        )
+        rows = []
+        for g in graphs:
+            verdict = decide_labellable(g)
+            lab = verdict.labelling
+            labels = None if lab is None else (lab.k, tuple(tuple(sorted(s)) for s in lab.labels))
+            rows.append((verdict.status, verdict.k_bound, labels))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "034fc59fcce8b104d980b25d3ec23b650e4e36f4ee4cc021507dd45a47dbc4dd"
 
 
 class TestMinimality:

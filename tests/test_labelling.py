@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -18,8 +19,8 @@ from gammagraphs import (
     wheel_labelling,
     with_common_symbol,
 )
-from gammagraphs.classify import enumerate_connected_graphs
-from gammagraphs.labelling import labelling_to_json, outcome_to_json
+from gammagraphs.classify import decide_labellable, enumerate_connected_graphs
+from gammagraphs.labelling import _pendant_elimination, labelling_to_json, outcome_to_json
 from gammagraphs.fixtures import (
     STAR_LABELS,
     WHEEL9_LABELS,
@@ -27,11 +28,28 @@ from gammagraphs.fixtures import (
     seven_vertex_closing,
 )
 
-from helpers import check_induced_path_middles, check_triangle_forms, oracle_minimum_k
+from helpers import (
+    all_graphs_on,
+    check_induced_path_middles,
+    check_triangle_forms,
+    oracle_minimum_k,
+    oracle_pendant_elimination,
+    random_graph,
+)
 
 
 def _sets(*specs):
     return tuple(frozenset(int(ch) for ch in s) for s in specs)
+
+
+def _sorted_labels(lab):
+    """A labelling's labels as sorted tuples: a frozenset's repr depends on
+    insertion order, so digests are taken over these."""
+    return None if lab is None else tuple(tuple(sorted(s)) for s in lab.labels)
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 class TestValidity:
@@ -48,6 +66,10 @@ class TestValidity:
         result = is_valid_labelling(g, Labelling(2, _sets("12", "23", "12")))
         assert not result and result.reason == "duplicate label"
         assert result.pair == ("1", "3")
+        # an adjacent pair of equal labels is a duplicate too
+        result = is_valid_labelling(make_family("path", 2), Labelling(2, _sets("12", "12")))
+        assert not result and result.reason == "duplicate label"
+        assert (result.pair, result.intersection) == (("1", "2"), 2)
 
     def test_violation_names_pair_and_intersection(self):
         g = make_family("path", 3)
@@ -62,6 +84,23 @@ class TestValidity:
     def test_wrong_size_label(self):
         g = make_family("path", 2)
         assert not is_valid_labelling(g, Labelling(2, _sets("12", "2")))
+
+    def test_adjacent_pair_missing_overlap_reported_first_by_names(self):
+        # on the triangle x, y, z both (x, z) and (y, z) meet in 0 < k - 1
+        # symbols; the first pair in (i, j) order is reported
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)], names=("x", "y", "z"))
+        result = is_valid_labelling(g, Labelling(2, _sets("12", "13", "45")))
+        assert not result
+        assert result.reason == "adjacent pair misses k-1 overlap"
+        assert (result.pair, result.intersection) == (("x", "z"), 0)
+
+    def test_non_adjacent_overlap_reported_first_by_names(self):
+        # only x and y are adjacent; (x, z) and (y, z) both overlap in k - 1
+        g = Graph.from_edges(3, [(0, 1)], names=("x", "y", "z"))
+        result = is_valid_labelling(g, Labelling(3, _sets("123", "234", "134")))
+        assert not result
+        assert result.reason == "non-adjacent pair overlaps in k-1"
+        assert (result.pair, result.intersection) == (("x", "z"), 2)
 
 
 class TestMiddleLabelCandidates:
@@ -139,6 +178,52 @@ class TestSearch:
                     labels = tuple(tuple(sorted(s)) for s in out.labelling.labels)
                 rows.append((out.status, out.k, labels))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "budget, digest",
+        [
+            (SearchBudget(), "17521065b0efd9b56aca3347cd1e4ace7ba80d375a652a26f2e709d52c7e1c48"),
+            (SearchBudget(k_max=2), "c2aaa815609cbb9ea31c782cc1043ab610c1d3068ca891d7a2eb9a0bafd3523f"),
+            (SearchBudget(k_max=3), "b1148ce61eedce9118f017737b3d4fc593ee33048a9429cff237e35e7cf4d19f"),
+            (SearchBudget(node_limit=200), "f75939bfc92e73f564bcba8cefaf5152082ebd39da45e57536b0266e9e654510"),
+        ],
+        ids=["default", "k2", "k3", "limit200"],
+    )
+    def test_outcomes_and_node_counts_pinned_up_to_six_vertices(self, budget, digest):
+        # (status, k, nodes, labels) on every connected graph with n <= 6:
+        # the search must visit the same candidates in the same order
+        rows = []
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                out = find_labelling(g, budget)
+                rows.append((out.status, out.k, out.nodes, _sorted_labels(out.labelling)))
+        assert _digest(rows) == digest
+
+    @pytest.mark.parametrize(
+        "family, n, nodes, labels_digest",
+        [
+            ("path", 80, 6322, "062468502a8266bceb4a19aa7ecfb45fe095d2e17d118e0bb59401ac2d7bf340"),
+            ("cycle", 70, 4698, "ad25a4a336d3d6f66c25f0da4074e8785e970442490827ea7ab961c2a4b99dae"),
+        ],
+    )
+    def test_graphs_beyond_63_vertices_pinned(self, family, n, nodes, labels_digest):
+        # more vertices than fit in 6-bit fields, so a packed ordering key
+        # would misorder the placement
+        out = find_labelling(make_family(family, n))
+        assert (out.status, out.k, out.nodes) == ("found", 2, nodes)
+        assert _digest(_sorted_labels(out.labelling)) == labels_digest
+
+    @pytest.mark.parametrize(
+        "family, n, k, labels_digest",
+        [
+            ("path", 80, 80, "21f69a94e41db90560f394a470aaeeee491cf91595d78ac23dc2e24f6a15489a"),
+            ("cycle", 70, 2, "ad25a4a336d3d6f66c25f0da4074e8785e970442490827ea7ab961c2a4b99dae"),
+        ],
+    )
+    def test_decisions_beyond_63_vertices_pinned(self, family, n, k, labels_digest):
+        verdict = decide_labellable(make_family(family, n))
+        assert (verdict.status, verdict.labelling.k) == ("labellable", k)
+        assert _digest(_sorted_labels(verdict.labelling)) == labels_digest
 
     def test_found_labellings_use_at_least_two_k_symbols(self):
         # the fact complement pruning rests on: at the minimal k, fewer than
@@ -275,6 +360,17 @@ class TestPendantReduction:
     def test_cycle_is_a_fixed_point(self):
         c5 = make_family("cycle", 5)
         assert reduce_pendants(c5).adj == c5.adj
+
+    def test_elimination_matches_oracle(self):
+        graphs = [g for n in range(6) for g in all_graphs_on(n)]
+        graphs += [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        rng = random.Random(31)
+        graphs += [
+            random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.2, 0.35, 0.5]))
+            for _ in range(300)
+        ]
+        for g in graphs:
+            assert _pendant_elimination(g) == oracle_pendant_elimination(g), g.edges()
 
 
 class TestClosedForms:
