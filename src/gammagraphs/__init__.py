@@ -1,7 +1,7 @@
 """Distance-d domination, gamma-graphs, blockers and realizations, and
 Johnson-graph labellability for small graphs."""
 
-from .clutters import Clutter, blocker, random_clutter, validate_clutter
+from .clutters import Clutter, blocker, validate_clutter
 from .domination import (
     DominationResult,
     domination_number,

@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 fixture verification failure, 2 usage or
-precondition error, 3 work/node budget exhausted.  All documents are emitted
-as JSON with a stable field order, so identical invocations are
-byte-identical.
+Exit codes: 0 success, 2 usage or precondition error (an unknown command is
+an argparse usage error, so it exits 2 too), 3 work/node budget exhausted.
+All documents are emitted as JSON with a stable field order, so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from .classify import classify, classify_connected, report_summary, report_to_js
 from .clutters import blocker, clutter_from_json, clutter_to_json, validate_clutter
 from .domination import min_dominating_sets, result_to_json
 from .errors import DEFAULT_NODE_LIMIT, UnsupportedSizeError, WorkLimitExceeded
-from .fixtures import run_fixture_checks
 from .gammagraph import build_gamma_graph, gamma_graph_to_json
 from .graphs import make_family, parse_graph6, read_graph6_lines, write_graph6
 from .labelling import SearchBudget, find_labelling, outcome_to_json
 from .realizer import realize, realized_to_json, verify_realization
 
 EXIT_OK = 0
-EXIT_FIXTURE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
@@ -130,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("--out")
 
-    p = sub.add_parser("verify-fixtures", help="run the bundled reference fixtures")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out")
-
     return parser
 
 
@@ -213,16 +207,6 @@ def _run_family(args) -> int:
     return EXIT_OK
 
 
-def _run_verify_fixtures(args) -> int:
-    results = run_fixture_checks(seed=args.seed)
-    doc = {"seed": args.seed, "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]}
-    _emit(doc, args.out)
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"{status} {r.name}", file=sys.stderr)
-    return EXIT_OK if all(r.ok for r in results) else EXIT_FIXTURE_FAILURE
-
-
 _HANDLERS = {
     "gamma": _run_gamma,
     "gammagraph": _run_gammagraph,
@@ -231,7 +215,6 @@ _HANDLERS = {
     "label": _run_label,
     "classify": _run_classify,
     "family": _run_family,
-    "verify-fixtures": _run_verify_fixtures,
 }
 
 

@@ -4,7 +4,6 @@ search that checks minimality as it extends a set (see `blocker`)."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 
@@ -156,18 +155,3 @@ def clutter_from_json(doc) -> Clutter:
             raise ValueError(f"not an integer: {x!r}")
     return validate_clutter(doc["n"], [frozenset(m) for m in doc["members"]])
 
-
-def random_clutter(rng: random.Random, ground_size: int, max_members: int | None = None) -> Clutter:
-    """Seeded random nonempty antichain of nonempty subsets of [1..ground_size].
-
-    Samples a handful of subsets and keeps the inclusion-minimal ones.
-    """
-    if ground_size < 1:
-        raise ValueError("ground size must be >= 1")
-    count = rng.randint(1, max_members or max(2, 2 * ground_size))
-    family: set[frozenset[int]] = set()
-    for _ in range(count):
-        size = rng.randint(1, ground_size)
-        family.add(frozenset(rng.sample(range(1, ground_size + 1), size)))
-    minimal = {s for s in family if not any(o < s for o in family)}
-    return Clutter(ground_size, tuple(minimal))

@@ -1,18 +1,13 @@
 """Bundled reference data: small graphs with known domination families,
-known labellings, and the known lists of minimally unlabellable graphs, plus
-a runner the CLI uses to verify the library against them."""
+known labellings, and the known lists of minimally unlabellable graphs.
+
+Data only: the test suites check the library against it.
+"""
 
 from __future__ import annotations
 
-import itertools
-import random
-from dataclasses import dataclass
-
-from .clutters import blocker, random_clutter, validate_clutter
-from .gammagraph import build_gamma_graph, tag_name
 from .graphs import Graph, make_family
-from .labelling import Labelling, is_valid_labelling, star_labelling, wheel_labelling
-from .realizer import construction_size, prior_construction_size, realize, verify_realization
+from .labelling import Labelling
 
 
 def _sets(*specs: str) -> tuple[frozenset[int], ...]:
@@ -132,116 +127,3 @@ STAR_LABELS = {
     ),
 }
 
-
-# --- construction-size reference table --------------------------------------
-
-SIZE_TABLE_FAMILY = validate_clutter(4, _sets("123", "124"))
-SIZE_TABLE_FAMILY_BLOCKER = _sets("1", "2", "34")
-SIZE_TABLE_BIG_FAMILY = validate_clutter(8, _sets("1234", "1235", "1246", "2357", "3578"))
-SIZE_TABLE_BIG_BLOCKER = _sets("13", "15", "17", "23", "25", "27", "28", "34", "36", "45")
-
-
-# --- runner ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FixtureResult:
-    name: str
-    ok: bool
-    detail: str
-
-
-def _check(name: str, ok: bool, detail: str = "") -> FixtureResult:
-    return FixtureResult(name, ok, detail if not ok else "ok")
-
-
-def run_fixture_checks(seed: int = 2024) -> list[FixtureResult]:
-    results: list[FixtureResult] = []
-
-    # domination demo: both gamma families and both gamma-graphs
-    g = domination_demo_graph()
-    gg1 = build_gamma_graph(g, 1)
-    sets1 = {frozenset(v + 1 for v in t) for t in gg1.tags}
-    edges1 = {
-        tuple(sorted((tag_name(g, gg1.tags[i]), tag_name(g, gg1.tags[j]))))
-        for i, j in gg1.base.edges()
-    }
-    ok1 = (
-        gg1.gamma == 2
-        and sets1 == set(DEMO_GAMMA1_SETS)
-        and edges1 == {tuple(sorted(e)) for e in DEMO_GAMMA1_EDGES}
-    )
-    results.append(_check("domination-demo-d1", ok1, f"gamma={gg1.gamma} sets={sorted(map(sorted, sets1))}"))
-    gg2 = build_gamma_graph(g, 2)
-    sets2 = {frozenset(v + 1 for v in t) for t in gg2.tags}
-    complete2 = gg2.base.edge_count == 10 and gg2.base.n == 5
-    ok2 = gg2.gamma == 1 and sets2 == set(DEMO_GAMMA2_SETS) and complete2
-    results.append(_check("domination-demo-d2", ok2, f"gamma={gg2.gamma} edges={gg2.base.edge_count}"))
-
-    # blocker reference values
-    ok = blocker(SIZE_TABLE_FAMILY).members == tuple(
-        sorted(SIZE_TABLE_FAMILY_BLOCKER, key=lambda s: (len(s), sorted(s)))
-    )
-    results.append(_check("blocker-small", ok))
-    ok = set(blocker(SIZE_TABLE_BIG_FAMILY).members) == set(SIZE_TABLE_BIG_BLOCKER)
-    results.append(_check("blocker-large", ok))
-
-    # construction size table
-    table = [
-        (construction_size(SIZE_TABLE_FAMILY, 3), (22, 26)),
-        (construction_size(SIZE_TABLE_FAMILY, 1), (10, 14)),
-        (construction_size(SIZE_TABLE_BIG_FAMILY, 1), (28, 68)),
-        (prior_construction_size(SIZE_TABLE_FAMILY), (36, 62)),
-        (prior_construction_size(SIZE_TABLE_BIG_FAMILY), (613, 2728)),
-    ]
-    ok = all(got == want for got, want in table)
-    results.append(_check("size-table", ok, f"{table}"))
-
-    # realized sizes match the formulas on the worked example
-    r = realize(SIZE_TABLE_FAMILY, 3)
-    ok = (r.graph.n, r.graph.edge_count) == (22, 26) and verify_realization(r, SIZE_TABLE_FAMILY).ok
-    results.append(_check("realization-worked-example", ok))
-
-    # labelled seven-vertex fixtures
-    for name, (graph, lab) in (
-        ("labelled-seven-a", seven_vertex_a()),
-        ("labelled-seven-b", seven_vertex_b()),
-        ("labelled-seven-closing", seven_vertex_closing()),
-    ):
-        check = is_valid_labelling(graph, lab)
-        results.append(_check(name, bool(check), check.reason or ""))
-
-    # wheel and star closed forms
-    w9 = wheel_labelling(9)
-    ok = w9.labels == WHEEL9_LABELS and bool(is_valid_labelling(make_family("wheel", 9), w9))
-    results.append(_check("wheel-nine", ok))
-    ok = all(
-        star_labelling(m).labels == labels
-        and bool(is_valid_labelling(make_family("fan", m, 1), star_labelling(m)))
-        for m, labels in STAR_LABELS.items()
-    )
-    results.append(_check("star-labels", ok))
-
-    # seeded mini property suites
-    rng = random.Random(seed)
-    ok = True
-    for _ in range(50):
-        c = random_clutter(rng, rng.randint(1, 8))
-        if blocker(blocker(c)).members != c.members:
-            ok = False
-            break
-    results.append(_check("blocker-involution-sample", ok))
-
-    ok = True
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        k = rng.randint(1, min(2, n))
-        pool = list(itertools.combinations(range(1, n + 1), k))
-        members = [frozenset(m) for m in rng.sample(pool, rng.randint(1, len(pool)))]
-        fam = validate_clutter(n, members)
-        d = rng.randint(1, 3)
-        if not verify_realization(realize(fam, d), fam).ok:
-            ok = False
-            break
-    results.append(_check("realization-roundtrip-sample", ok))
-
-    return results

@@ -343,12 +343,10 @@ def find_labelling(
     return SearchOutcome("absent_up_to_k", None, k_max, nodes)
 
 
-def with_common_symbol(lab: Labelling, symbol: int | None = None) -> Labelling:
-    """Adjoin one symbol (default: the next unused) to every label: k grows
-    by one and validity is preserved."""
-    sym = symbol if symbol is not None else lab.max_symbol() + 1
-    if any(sym in s for s in lab.labels):
-        raise ValueError(f"symbol {sym} already appears in a label")
+def with_common_symbol(lab: Labelling) -> Labelling:
+    """Adjoin the next unused symbol to every label: k grows by one and
+    validity is preserved."""
+    sym = lab.max_symbol() + 1
     return Labelling(lab.k + 1, tuple(s | {sym} for s in lab.labels))
 
 

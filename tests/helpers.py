@@ -248,6 +248,22 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_clutter(rng: random.Random, ground_size: int) -> Clutter:
+    """Seeded random nonempty antichain of nonempty subsets of [1..ground_size].
+
+    Samples a handful of subsets and keeps the inclusion-minimal ones.
+    """
+    if ground_size < 1:
+        raise ValueError("ground size must be >= 1")
+    count = rng.randint(1, max(2, 2 * ground_size))
+    family: set[frozenset[int]] = set()
+    for _ in range(count):
+        size = rng.randint(1, ground_size)
+        family.add(frozenset(rng.sample(range(1, ground_size + 1), size)))
+    minimal = {s for s in family if not any(o < s for o in family)}
+    return Clutter(ground_size, tuple(minimal))
+
+
 def all_graphs_on(n: int):
     """Every labelled simple graph on n vertices (2^C(n,2) of them)."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -35,7 +35,7 @@ from gammagraphs.classify import (
     enumerate_connected_graphs,
     is_minimally_unlabellable,
 )
-from gammagraphs.clutters import Clutter, random_clutter
+from gammagraphs.clutters import Clutter
 from gammagraphs.fixtures import (
     DEMO_GAMMA1_EDGES,
     DEMO_GAMMA1_SETS,
@@ -55,6 +55,7 @@ from helpers import (
     check_induced_path_middles,
     check_triangle_forms,
     powerset_min_dominating,
+    random_clutter,
     random_graph,
 )
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import gammagraphs.cli as cli
 import gammagraphs.realizer as realizer
 from gammagraphs import SearchBudget, blocker, make_family, min_dominating_sets, write_graph6
 from gammagraphs.cli import build_parser, run
@@ -264,11 +265,18 @@ class TestFamily:
         assert expected in captured.err
 
 
-class TestFixturesCommand:
-    def test_all_pass(self, capsys):
-        code, doc = _run_json(capsys, ["verify-fixtures", "--seed", "7"])
-        assert code == 0
-        assert all(check["ok"] for check in doc["checks"])
+class TestCommandSet:
+    def test_removed_fixture_command_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-fixtures"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_every_handler_has_a_parser_entry(self):
+        commands = {"gamma", "gammagraph", "realize", "blocker", "label", "classify", "family"}
+        assert set(cli._HANDLERS) == commands
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == commands
 
 
 @pytest.mark.parametrize(

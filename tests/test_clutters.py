@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gammagraphs import Clutter, blocker, random_clutter, validate_clutter
+from gammagraphs import Clutter, blocker, validate_clutter
 from gammagraphs.clutters import clutter_from_json, clutter_to_json
 
-from helpers import first_contained_pair_message, powerset_blocker
+from helpers import first_contained_pair_message, powerset_blocker, random_clutter
 
 
 def _sets(*specs):
