@@ -63,10 +63,13 @@ from dataclasses import dataclass
 from .errors import UnsupportedSizeError
 from .graphs import (
     Graph,
+    _default_names,
     _twins_before,
     canonical_form,
     canonical_word,
     connected_components,
+    graph6_masks,
+    graph6_order,
     induced_subgraph,
     parse_graph6,
     write_graph6,
@@ -153,14 +156,14 @@ def _connected_words(n: int) -> tuple[str, ...]:
         return (canonical_word(1, (0,)).decode("ascii"),)
     words: set[str] = set()
     for word in _connected_words(n - 1):
-        g = parse_graph6(word)
-        twins = [(1 << u, before) for u, before in enumerate(_twins_before(g.adj)) if before]
+        _, parent = graph6_masks(word.encode("ascii"))
+        twins = [(1 << u, before) for u, before in enumerate(_twins_before(parent)) if before]
         for nbrs in range(1, 1 << (n - 1)):
             for bit, before in twins:
                 if nbrs & bit and before & ~nbrs:
                     break
             else:
-                adj = list(g.adj) + [nbrs]
+                adj = list(parent) + [nbrs]
                 for u in range(n - 1):
                     if (nbrs >> u) & 1:
                         adj[u] |= 1 << (n - 1)
@@ -320,8 +323,8 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
 
 # A class's record: its own status, and the least canonical form among its
 # induced subgraphs decided unlabellable, itself included (None when there is
-# none).  A form's first byte is 63 + its vertex count, so the least form is
-# also one of the smallest.
+# none).  A form's first byte gives its vertex count (`graph6_order`), so the
+# least form is also one of the smallest.
 Record = tuple[str, bytes | None]
 
 # A graph given by its vertex count and neighbour masks alone, with no Graph
@@ -359,7 +362,7 @@ class _Records:
         form = canonical_word(n, adj)
         record = self.by_form.get(form)
         if record is None:
-            g = Graph(n, adj, tuple(str(i + 1) for i in range(n)))
+            g = Graph(n, adj, _default_names(n))
             record = self.by_form[form] = self.settle(g)[0]
             self.orders.add(n)
         return record
@@ -402,7 +405,7 @@ class _Records:
         if witness is None:
             assert own is not None
             return own
-        if witness[0] - 63 < g.n:
+        if graph6_order(witness) < g.n:
             found = _smallest_unlabellable_subset(g, _FormTable([witness]))
             assert found is not None, "no induced subgraph has the recorded witness form"
             return Verdict(UNLABELLABLE_NONMINIMAL, k_bound, witness=found[0], witness_form=witness)
@@ -432,8 +435,9 @@ class _FormTable:
             self.add(form)
 
     def add(self, form: bytes) -> None:
-        size = form[0] - 63
-        self.by_size.setdefault(size, {}).setdefault(_degree_sequence(form), set()).add(form)
+        size, adj = graph6_masks(form)
+        degrees = tuple(sorted(mask.bit_count() for mask in adj))
+        self.by_size.setdefault(size, {}).setdefault(degrees, set()).add(form)
         if size not in self.least or form < self.least[size]:
             self.least[size] = form
 
@@ -472,24 +476,6 @@ def _smallest_unlabellable_subset(
         if best is not None:
             return best
     return None
-
-
-def _degree_sequence(form: bytes) -> tuple[int, ...]:
-    """The sorted degrees of the graph whose graph6 word is `form`, read
-    straight off its bits (see `graphs.write_graph6` for their order)."""
-    n = form[0] - 63
-    bits = 0
-    for byte in form[1:]:
-        bits = (bits << 6) | (byte - 63)
-    pos = 6 * (len(form) - 1)
-    degree = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                degree[i] += 1
-                degree[j] += 1
-    return tuple(sorted(degree))
 
 
 class _Contained:
@@ -549,7 +535,7 @@ def _report(verdicts: dict[str, Verdict], budget: SearchBudget) -> Classificatio
     counts = {LABELLABLE: 0, MINIMALLY_UNLABELLABLE: 0, UNLABELLABLE_NONMINIMAL: 0, UNDECIDED: 0}
     for v in verdicts.values():
         counts[v.status] += 1
-    n_values = sorted({_word_order(word) for word in verdicts})
+    n_values = sorted({graph6_order(word) for word in verdicts})
     params = {
         "k_max": budget.k_max,
         "node_limit": budget.node_limit,
@@ -608,11 +594,6 @@ def classify_connected(max_n: int, budget: SearchBudget | None = None) -> Classi
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _word_order(word: str) -> int:
-    """Vertex count of a short-form graph6 word, whose first byte is n + 63."""
-    return ord(word[0]) - 63
-
-
 def verdict_to_json(n: int, verdict: Verdict) -> dict:
     """A verdict on an n-vertex graph read from graph6, so a labelling's
     labels are keyed by the graph6 names "1".."n"."""
@@ -634,7 +615,7 @@ def report_to_json(report: ClassificationReport) -> dict:
     return {
         "params": report.params,
         "verdicts": {
-            word: verdict_to_json(_word_order(word), verdict)
+            word: verdict_to_json(graph6_order(word), verdict)
             for word, verdict in sorted(report.verdicts.items())
         },
         "counts": report.counts,
@@ -645,14 +626,14 @@ def report_summary(report: ClassificationReport) -> str:
     """Status counts per vertex count, as a small fixed-width table."""
     by_n: dict[int, dict[str, int]] = {}
     for word, verdict in report.verdicts.items():
-        n = _word_order(word)
+        n = graph6_order(word)
         by_n.setdefault(n, {}).setdefault(verdict.status, 0)
         by_n[n][verdict.status] += 1
     lines = [f"{'n':>3} {'graphs':>7} {'labellable':>11} {'minimal':>8} {'nonminimal':>11} {'undecided':>10}"]
     for n in sorted(by_n):
         row = by_n[n]
         total = sum(row.values())
-        note = "  (exploratory)" if n >= 7 else ""
+        note = "  (exploratory)" if n in report.params["exploratory_n"] else ""
         lines.append(
             f"{n:>3} {total:>7} {row.get(LABELLABLE, 0):>11} "
             f"{row.get(MINIMALLY_UNLABELLABLE, 0):>8} {row.get(UNLABELLABLE_NONMINIMAL, 0):>11} "

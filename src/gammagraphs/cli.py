@@ -16,9 +16,9 @@ import sys
 from .classify import classify, classify_connected, report_summary, report_to_json
 from .clutters import blocker, clutter_from_json, clutter_to_json, validate_clutter
 from .domination import min_dominating_sets, result_to_json
-from .errors import DEFAULT_NODE_LIMIT, UnsupportedSizeError, WorkLimitExceeded
+from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
 from .gammagraph import build_gamma_graph, gamma_graph_to_json
-from .graphs import make_family, parse_graph6, read_graph6_lines, write_graph6
+from .graphs import GRAPH6_MAX_VERTICES, make_family, parse_graph6, read_graph6_lines, write_graph6
 from .labelling import SearchBudget, find_labelling, outcome_to_json
 from .realizer import realize, realized_to_json, verify_realization
 
@@ -201,7 +201,7 @@ def _run_family(args) -> int:
         "edges": g.edge_count,
         "names": list(g.names),
     }
-    if g.n <= 62:
+    if g.n <= GRAPH6_MAX_VERTICES:
         doc["graph6"] = write_graph6(g)
     _emit(doc, args.out)
     return EXIT_OK
@@ -225,7 +225,7 @@ def run(argv: list[str]) -> int:
     except WorkLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, UnsupportedSizeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

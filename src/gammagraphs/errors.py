@@ -6,11 +6,13 @@ from __future__ import annotations
 class GraphFormatError(ValueError):
     """Raised when a graph6 word cannot be decoded.
 
-    ``offset`` is the byte position of the first offending byte.
+    ``offset`` is the byte position of the first offending byte, and
+    ``message`` the text without it.
     """
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -267,25 +267,58 @@ def cartesian_product(a: Graph, b: Graph) -> Graph:
 # byte, each byte offset by 63, zero-padded to a multiple of six bits.
 # ---------------------------------------------------------------------------
 
+def _pack_graph6(n: int, rows: list[int]) -> bytes:
+    """The graph6 word of the graph on vertices 0..n-1 in which rows[p]
+    holds p's edges toward 0..p-1, vertex i at bit n-1-i; lower bits of a
+    row are ignored.  Read from the top, row p's bits are the pairs (0,p),
+    ..., (p-1,p), so the rows in turn list the bits in graph6's order."""
+    bits = 0
+    for p in range(1, n):
+        bits = (bits << p) | (rows[p] >> (n - p))
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    word = bytearray([63 + n])
+    for shift in range(nbits + pad - 6, -1, -6):
+        word.append(63 + ((bits >> shift) & 63))
+    return bytes(word)
+
+
+def graph6_order(word: str | bytes) -> int:
+    """Vertex count of a well-formed short-form graph6 word."""
+    return ord(word[:1]) - 63
+
+
+def graph6_masks(word: bytes) -> tuple[int, tuple[int, ...]]:
+    """Vertex count and neighbour masks of a well-formed graph6 word."""
+    n = graph6_order(word)
+    bits = 0
+    for byte in word[1:]:
+        bits = (bits << 6) | (byte - 63)
+    pos = 6 * (len(word) - 1)
+    adj = [0] * n
+    for j in range(1, n):
+        pos -= j
+        # vertex i's bit is j-1-i: vertex 0 comes first
+        column = (bits >> pos) & ((1 << j) - 1)
+        while column:
+            low = column & -column
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            column ^= low
+    return n, tuple(adj)
+
+
 def write_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"graph6 short form supports at most {GRAPH6_MAX_VERTICES} vertices, got {g.n}"
         )
-    out = [chr(63 + g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    # reversing a mask's n binary digits puts vertex i at bit n-1-i
+    width = f"0{g.n}b"
+    rows = [int(format(mask, width)[::-1], 2) for mask in g.adj]
+    return _pack_graph6(g.n, rows).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -302,7 +335,7 @@ def parse_graph6(text: str) -> Graph:
             raise GraphFormatError(f"character {ch!r} outside graph6 range", off)
     if word[0] == "~":
         raise GraphFormatError("long-form graph6 (n > 62) is not supported", 0)
-    n = ord(word[0]) - 63
+    n = graph6_order(word)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(word) < 1 + nbytes:
@@ -312,32 +345,24 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(word) > 1 + nbytes:
         raise GraphFormatError("trailing garbage after graph6 data", 1 + nbytes)
-    adj = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = ord(word[1 + pos // 6]) - 63
-            bit = (byte >> (5 - pos % 6)) & 1
-            pos += 1
-            if bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    # padding bits must be zero
-    while pos < 6 * nbytes:
-        byte = ord(word[1 + pos // 6]) - 63
-        if (byte >> (5 - pos % 6)) & 1:
-            raise GraphFormatError("nonzero padding bits", 1 + pos // 6)
-        pos += 1
-    return Graph(n, tuple(adj), _default_names(n))
+    # the padding bits are the low bits of the last byte
+    if (ord(word[-1]) - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise GraphFormatError("nonzero padding bits", len(word) - 1)
+    n, adj = graph6_masks(word.encode("ascii"))
+    return Graph(n, adj, _default_names(n))
 
 
 def read_graph6_lines(text: str) -> list[Graph]:
-    """Parse a graph6 file body: one word per line, blank lines ignored."""
+    """Parse a graph6 file body: one word per line, blank lines ignored.  A
+    malformed word's error names its 1-based line and its offset in the word."""
     graphs = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line:
-            graphs.append(parse_graph6(line))
+            try:
+                graphs.append(parse_graph6(line))
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {number}: {exc.message}", exc.offset) from None
     return graphs
 
 
@@ -427,11 +452,12 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     """graph6 bytes of the lexicographically minimal upper-triangle bit string
     over all orderings consistent with the equitable colouring (vertices
     sorted by colour).  The bits come in graph6's own order, (0,1),(0,2),
-    (1,2),(0,3),..., so they are packed six to a byte as they stand.
+    (1,2),(0,3),...
 
     Position p's bits toward positions 0..p-1 are kept as one integer row,
     position i at bit n-1-i, so rows of one position compare as their bit
-    strings do.  `reach[u]` collects the bits of u's placed neighbours as
+    strings do, and `_pack_graph6` packs the best ordering's rows as they
+    stand.  `reach[u]` collects the bits of u's placed neighbours as
     vertices are placed, which makes it u's row at the next position.  A
     path is pruned by comparing its rows with the best ordering's while they
     are equal, and again once a leaf below it has become the best.
@@ -442,8 +468,6 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     into index order maps each ordering to one with the same bit string, and
     the minimum over the orderings left is the minimum over all.
     """
-    if n == 0:
-        return bytes([63])
     nbrs = _neighbour_lists(adj)
     colors = _equitable_colors(adj)
     target = sorted(colors)
@@ -484,16 +508,7 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
         return improved
 
     dfs(0, (1 << n) - 1, False)
-    acc = 0
-    for pos in range(1, n):
-        acc = (acc << pos) | (best[pos] >> (n - pos))
-    nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    acc <<= pad
-    word = bytearray([63 + n])
-    for shift in range(nbits + pad - 6, -1, -6):
-        word.append(63 + ((acc >> shift) & 63))
-    return bytes(word)
+    return _pack_graph6(n, best)
 
 
 def canonical_word(n: int, adj: tuple[int, ...]) -> bytes:

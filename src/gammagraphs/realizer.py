@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .clutters import Clutter, blocker, validate_clutter
 from .domination import min_dominating_sets
-from .graphs import Graph, write_graph6
+from .graphs import GRAPH6_MAX_VERTICES, Graph, write_graph6
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,6 @@ def realized_to_json(realized: RealizedGraph, family: Clutter) -> dict:
         "construction_size": list(construction_size(family, realized.d)),
         "prior_construction_size": list(prior_construction_size(family)),
     }
-    if realized.graph.n <= 62:
+    if realized.graph.n <= GRAPH6_MAX_VERTICES:
         doc["graph6"] = write_graph6(realized.graph)
     return doc

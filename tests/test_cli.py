@@ -234,6 +234,14 @@ class TestClassify:
         (verdict,) = doc["verdicts"].values()
         assert verdict["k_bound"] == 6
 
+    def test_malformed_file_word_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "batch.g6"
+        path.write_text("Bw\nA`\n")
+        assert run(["classify", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: nonzero padding bits (byte offset 1)\n"
+
 
 class TestFamily:
     def test_wheel(self, capsys):

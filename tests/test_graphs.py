@@ -26,6 +26,8 @@ from gammagraphs.graphs import (
     _canonical_word,
     _equitable_colors,
     canonical_word,
+    graph6_order,
+    read_graph6_lines,
 )
 
 from helpers import (
@@ -110,8 +112,39 @@ class TestGraph6:
         assert exc.value.offset == 2
 
     def test_truncated(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError) as exc:
             parse_graph6("B")
+        assert exc.value.offset == len("B")
+
+    @pytest.mark.parametrize(
+        "word, message, offset",
+        [
+            ("", "empty graph6 word", 0),
+            ("\n", "empty graph6 word", 0),
+            ("B ", "character ' ' outside graph6 range", 1),
+            ("~??", "long-form graph6 (n > 62) is not supported", 0),
+            ("B", "graph6 word for n=3 needs 1 data bytes, got 0", 1),
+            ("E??", "graph6 word for n=6 needs 3 data bytes, got 2", 3),
+            ("Bww", "trailing garbage after graph6 data", 2),
+            # n = 2 leaves five padding bits, n = 5 two and n = 6 three, all
+            # in the last byte
+            ("A`", "nonzero padding bits", 1),
+            ("A`\n", "nonzero padding bits", 1),
+            ("D~@", "nonzero padding bits", 2),
+            ("E~~D", "nonzero padding bits", 3),
+        ],
+    )
+    def test_format_errors_pinned(self, word, message, offset):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph6(word)
+        assert (exc.value.message, exc.value.offset) == (message, offset)
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+
+    def test_file_errors_name_the_line(self):
+        with pytest.raises(GraphFormatError) as exc:
+            read_graph6_lines("Bw\n\n  A`  \nA_\n")
+        assert exc.value.offset == 1
+        assert str(exc.value) == "line 3: nonzero padding bits (byte offset 1)"
 
     def test_long_form_rejected(self):
         with pytest.raises(GraphFormatError) as exc:
@@ -125,6 +158,17 @@ class TestGraph6:
     def test_boundary_size_roundtrip(self):
         g = make_family("path", 62)
         assert parse_graph6(write_graph6(g)).adj == g.adj
+
+    def test_enumerated_words_roundtrip(self):
+        for n in range(1, 8):
+            for word in _connected_words(n):
+                assert write_graph6(parse_graph6(word)) == word
+
+    def test_order_matches_parse(self):
+        rng = random.Random(3)
+        for n in range(63):
+            word = write_graph6(random_graph(rng, n, 0.5))
+            assert graph6_order(word) == graph6_order(word.encode("ascii")) == parse_graph6(word).n
 
     def test_roundtrip_exhaustive_small(self):
         for n in range(5):
