@@ -9,20 +9,16 @@ from .domination import (
     min_dominating_sets,
 )
 from .errors import GraphFormatError, UnsupportedSizeError, WorkLimitExceeded
-from .gammagraph import GammaGraph, build_gamma_graph, same_gamma_graph
+from .gammagraph import GammaGraph, build_gamma_graph
 from .graphs import (
-    DistanceMatrix,
     Graph,
-    all_pairs_distances,
     are_isomorphic,
     canonical_form,
     cartesian_product,
     connected_components,
     induced_subgraph,
-    is_connected,
     make_family,
     parse_graph6,
-    permute_graph,
     write_graph6,
 )
 from .labelling import (
@@ -31,9 +27,7 @@ from .labelling import (
     SearchOutcome,
     find_labelling,
     is_valid_labelling,
-    middle_label_candidates,
     product_labelling,
-    reduce_pendants,
     star_labelling,
     wheel_labelling,
     with_common_symbol,

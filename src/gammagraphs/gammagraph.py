@@ -67,11 +67,6 @@ def build_gamma_graph(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) ->
     return GammaGraph(base, tags, result.gamma, d)
 
 
-def same_gamma_graph(a: GammaGraph, b: GammaGraph) -> bool:
-    """Tag-preserving equality: identical tag families and identical adjacency."""
-    return a.gamma == b.gamma and a.tags == b.tags and a.base.adj == b.base.adj
-
-
 def gamma_graph_to_json(source: Graph, gg: GammaGraph) -> dict:
     vertices = [sorted(source.names[v] for v in t) for t in gg.tags]
     edges = [[i, j] for i, j in gg.base.edges()]

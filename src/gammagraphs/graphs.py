@@ -1,4 +1,5 @@
-"""Immutable simple graphs, the graph6 codec, metrics, and named families.
+"""Immutable simple graphs, the graph6 codec, canonical forms, and named
+families.
 
 Vertices are indices 0..n-1 internally; every graph also carries a tuple of
 display names (default "1".."n") so that derived graphs can keep meaningful
@@ -124,53 +125,6 @@ class Graph:
             rest ^= low
         return tuple(out)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs shortest-path lengths; ``None`` marks unreachable pairs."""
-
-    entries: tuple[tuple[int | None, ...], ...]
-
-    def dist(self, u: int, v: int) -> int | None:
-        return self.entries[u][v]
-
-    def eccentricity(self, v: int) -> int | None:
-        """Largest distance from v, or None if some vertex is unreachable."""
-        row = self.entries[v]
-        if any(x is None for x in row):
-            return None
-        return max(row) if row else 0
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex over the neighbour bitmasks."""
-    rows = []
-    for s in range(g.n):
-        row: list[int | None] = [None] * g.n
-        seen = 1 << s
-        frontier = seen
-        layer = 0
-        while frontier:
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                row[low.bit_length() - 1] = layer
-                rest ^= low
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= g.adj[low.bit_length() - 1]
-                rest ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-            layer += 1
-        rows.append(tuple(row))
-    return DistanceMatrix(tuple(rows))
-
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph on the given vertex indices (ascending), names preserved."""
@@ -189,24 +143,6 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
             if u in pos:
                 adj[pos[v]] |= 1 << pos[u]
     return Graph(len(verts), tuple(adj), tuple(g.names[v] for v in verts))
-
-
-def permute_graph(g: Graph, perm) -> Graph:
-    """Relabelled copy: new vertex i is old vertex perm[i].  Fresh default names."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    inv = [0] * g.n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    adj = [0] * g.n
-    for i, p in enumerate(perm):
-        rest = g.adj[p]
-        while rest:
-            low = rest & -rest
-            adj[i] |= 1 << inv[low.bit_length() - 1]
-            rest ^= low
-    return Graph(g.n, tuple(adj), _default_names(g.n))
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
@@ -236,10 +172,6 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
             rest ^= low
         comps.append(tuple(members))
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def cartesian_product(a: Graph, b: Graph) -> Graph:

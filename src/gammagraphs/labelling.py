@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
-from .graphs import Graph, cartesian_product, induced_subgraph
+from .graphs import Graph, cartesian_product
 
 
 @dataclass(frozen=True)
@@ -125,22 +125,6 @@ def is_valid_labelling(g: Graph, lab: Labelling) -> ValidationResult:
                 reason = "non-adjacent pair overlaps in k-1"
             return ValidationResult(False, reason, (g.names[i], g.names[j]), inter)
     return ValidationResult(True)
-
-
-def middle_label_candidates(end1, end2) -> list[frozenset[int]]:
-    """The four labels an induced-path midpoint can take, given the two end
-    labels (which must be equal-size sets meeting in k-2 elements)."""
-    a, b = frozenset(end1), frozenset(end2)
-    k = len(a)
-    if len(b) != k:
-        raise ValueError("end labels must have equal size")
-    t = a & b
-    if len(t) != k - 2:
-        raise ValueError(
-            f"end labels must intersect in k-2 = {k - 2} elements, got {len(t)}"
-        )
-    out = [t | {x, y} for x in sorted(a - t) for y in sorted(b - t)]
-    return sorted((frozenset(s) for s in out), key=lambda s: tuple(sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -404,22 +388,16 @@ def _pendant_elimination(g: Graph):
     return survivors, tuple(deletions)
 
 
-def reduce_pendants(g: Graph) -> Graph:
-    """Fixed point of deleting isolated and pendant vertices.  An empty
-    result certifies that g is labellable."""
-    survivors, _ = _pendant_elimination(g)
-    return induced_subgraph(g, survivors)
-
-
 def reattach_pendants(
     deletions, base_labels: dict[int, frozenset[int]], k: int
 ) -> tuple[dict[int, frozenset[int]], int]:
     """Reverse a pendant-elimination log on top of a labelling of the core.
 
-    Re-adding a pendant v attached at u: adjoin a fresh common symbol to all
-    current labels, then label v with u's previous label plus a second fresh
-    symbol.  Re-adding an isolated vertex: give it k fresh symbols (after
-    lifting k to at least 2 so disjointness reads as non-adjacency).
+    The log must come from a connected graph.  Its only isolated vertex is
+    then the last one deleted, when no core survives, so it is re-added
+    first, onto no labels, and gets the label {1} with k = 1.  Re-adding a
+    pendant v attached at u: adjoin a fresh common symbol to all current
+    labels, then label v with u's previous label plus a second fresh symbol.
     """
     if not deletions:
         return base_labels, k
@@ -427,18 +405,9 @@ def reattach_pendants(
     next_sym = max((max(s) for s in labels.values() if s), default=0)
     for v, attach in reversed(deletions):
         if attach is None:
-            if not labels:
-                labels[v] = {1}
-                k = 1
-                next_sym = 1
-                continue
-            if k == 1:
-                next_sym += 1
-                for s in labels.values():
-                    s.add(next_sym)
-                k = 2
-            labels[v] = set(range(next_sym + 1, next_sym + 1 + k))
-            next_sym += k
+            labels[v] = {1}
+            k = 1
+            next_sym = 1
         else:
             old_attach = set(labels[attach])
             next_sym += 1

@@ -44,9 +44,6 @@ class RealizedGraph:
     gadgets: tuple[GadgetPair, ...]
     relabelling: tuple[tuple[int, int], ...]  # (original symbol, core symbol) pairs
 
-    def relabel_map(self) -> dict[int, int]:
-        return dict(self.relabelling)
-
     def core_symbol_to_original(self) -> dict[int, int]:
         return {new: old for old, new in self.relabelling}
 

@@ -1,13 +1,13 @@
-"""Bundled reference data: small graphs with known domination families,
-known labellings, and the known lists of minimally unlabellable graphs.
+"""Reference data: small graphs with known domination families, known
+labellings, and the known lists of minimally unlabellable graphs.
 
 Data only: the test suites check the library against it.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, make_family
-from .labelling import Labelling
+from gammagraphs import Graph, make_family
+from gammagraphs.labelling import Labelling
 
 
 def _sets(*specs: str) -> tuple[frozenset[int], ...]:
@@ -77,7 +77,7 @@ _SEVEN_BASE = [(1, 2), (2, 4), (4, 6), (6, 5), (5, 3), (3, 1), (3, 7), (7, 4)]
 
 def seven_vertex_a() -> tuple[Graph, Labelling]:
     """Six-cycle with a two-edge chord path; easily mistaken for unlabellable,
-    so we bundle a labelling that certifies otherwise."""
+    so it comes with a labelling that certifies otherwise."""
     g = Graph.from_edges(7, _edges0(_SEVEN_BASE))
     return g, Labelling(3, _sets("234", "245", "123", "145", "126", "146", "135"))
 

@@ -1,18 +1,95 @@
-"""Independent oracles and generators shared by the test suites.
+"""Independent oracles, reference code and generators shared by the test
+suites.
 
-Everything here is deliberately naive: powerset scans and unpruned
-assignment enumeration, kept separate from the library's own algorithms so
-the two sides of every comparison stay independent.
+Everything here is deliberately naive: powerset scans, breadth-first
+distances and unpruned assignment enumeration, kept separate from the
+library's own algorithms so the two sides of every comparison stay
+independent.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
-from gammagraphs import Clutter, Graph, all_pairs_distances, canonical_form, induced_subgraph, write_graph6
+from gammagraphs import (
+    Clutter,
+    Graph,
+    canonical_form,
+    connected_components,
+    induced_subgraph,
+    write_graph6,
+)
 from gammagraphs.classify import decide_labellable
-from gammagraphs.labelling import Labelling, labelling_to_json, middle_label_candidates
+from gammagraphs.graphs import _default_names
+from gammagraphs.labelling import Labelling, labelling_to_json
+
+
+@dataclass(frozen=True)
+class DistanceMatrix:
+    """All-pairs shortest-path lengths; ``None`` marks unreachable pairs."""
+
+    entries: tuple[tuple[int | None, ...], ...]
+
+    def dist(self, u: int, v: int) -> int | None:
+        return self.entries[u][v]
+
+    def eccentricity(self, v: int) -> int | None:
+        """Largest distance from v, or None if some vertex is unreachable."""
+        row = self.entries[v]
+        if any(x is None for x in row):
+            return None
+        return max(row) if row else 0
+
+
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """BFS from every vertex over the neighbour bitmasks."""
+    rows = []
+    for s in range(g.n):
+        row: list[int | None] = [None] * g.n
+        seen = 1 << s
+        frontier = seen
+        layer = 0
+        while frontier:
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                row[low.bit_length() - 1] = layer
+                rest ^= low
+            nxt = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                nxt |= g.adj[low.bit_length() - 1]
+                rest ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            layer += 1
+        rows.append(tuple(row))
+    return DistanceMatrix(tuple(rows))
+
+
+def permute_graph(g: Graph, perm) -> Graph:
+    """Relabelled copy: new vertex i is old vertex perm[i].  Fresh default names."""
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    inv = [0] * g.n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    adj = [0] * g.n
+    for i, p in enumerate(perm):
+        rest = g.adj[p]
+        while rest:
+            low = rest & -rest
+            adj[i] |= 1 << inv[low.bit_length() - 1]
+            rest ^= low
+    return Graph(g.n, tuple(adj), _default_names(g.n))
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def powerset_min_dominating(g: Graph, d: int) -> tuple[int, set[frozenset[int]]]:
@@ -281,6 +358,22 @@ def triangle_type(a: frozenset, b: frozenset, c: frozenset, k: int) -> str | Non
     if len(core) == k - 1 and len(union) == k + 2:
         return "beta"
     return None
+
+
+def middle_label_candidates(end1, end2) -> list[frozenset[int]]:
+    """The four labels an induced-path midpoint can take, given the two end
+    labels (which must be equal-size sets meeting in k-2 elements)."""
+    a, b = frozenset(end1), frozenset(end2)
+    k = len(a)
+    if len(b) != k:
+        raise ValueError("end labels must have equal size")
+    t = a & b
+    if len(t) != k - 2:
+        raise ValueError(
+            f"end labels must intersect in k-2 = {k - 2} elements, got {len(t)}"
+        )
+    out = [t | {x, y} for x in sorted(a - t) for y in sorted(b - t)]
+    return sorted((frozenset(s) for s in out), key=lambda s: tuple(sorted(s)))
 
 
 def check_induced_path_middles(g: Graph, lab: Labelling) -> None:

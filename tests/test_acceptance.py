@@ -36,7 +36,9 @@ from gammagraphs.classify import (
     is_minimally_unlabellable,
 )
 from gammagraphs.clutters import Clutter
-from gammagraphs.fixtures import (
+from gammagraphs.realizer import construction_size, prior_construction_size
+
+from fixtures import (
     DEMO_GAMMA1_EDGES,
     DEMO_GAMMA1_SETS,
     DEMO_GAMMA2_SETS,
@@ -49,8 +51,6 @@ from gammagraphs.fixtures import (
     seven_vertex_closing,
     seven_vertex_minimal,
 )
-from gammagraphs.realizer import construction_size, prior_construction_size
-
 from helpers import (
     check_induced_path_middles,
     check_triangle_forms,

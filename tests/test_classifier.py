@@ -17,11 +17,9 @@ from gammagraphs import (
     canonical_form,
     connected_components,
     induced_subgraph,
-    is_connected,
     is_valid_labelling,
     make_family,
     parse_graph6,
-    permute_graph,
     write_graph6,
 )
 from gammagraphs.classify import (
@@ -39,14 +37,21 @@ from gammagraphs.classify import (
     report_summary,
     report_to_json,
 )
-from gammagraphs.fixtures import (
+from gammagraphs.graphs import canonical_word
+from gammagraphs.labelling import labelling_to_json
+
+from fixtures import (
     minimal_unlabellable_five,
     minimal_unlabellable_six,
 )
-
-from gammagraphs.graphs import canonical_word
-from gammagraphs.labelling import labelling_to_json
-from helpers import all_graphs_on, random_graph, reference_classification, reference_witness
+from helpers import (
+    all_graphs_on,
+    is_connected,
+    permute_graph,
+    random_graph,
+    reference_classification,
+    reference_witness,
+)
 
 BUDGET = SearchBudget(k_max=6)
 
@@ -315,8 +320,8 @@ class TestClassify:
 
     def test_seven_vertex_exploratory_run(self):
         # not reference-tabulated anywhere, so only structure and the facts
-        # corroborated by the bundled fixtures are asserted
-        from gammagraphs.fixtures import seven_vertex_a, seven_vertex_b, seven_vertex_minimal
+        # corroborated by the test fixtures are asserted
+        from fixtures import seven_vertex_a, seven_vertex_b, seven_vertex_minimal
 
         report = classify(enumerate_connected_graphs(7), BUDGET)
         assert sum(report.counts.values()) == 853

@@ -9,7 +9,8 @@ import gammagraphs.realizer as realizer
 from gammagraphs import SearchBudget, blocker, make_family, min_dominating_sets, write_graph6
 from gammagraphs.cli import build_parser, run
 from gammagraphs.errors import DEFAULT_NODE_LIMIT
-from gammagraphs.fixtures import domination_demo_graph
+
+from fixtures import domination_demo_graph
 
 DEMO_WORD = write_graph6(domination_demo_graph())
 PATH60_D3_SHA256 = "bed4062d4d276337151f53b4f05338eb90b3405e0c3a348235b59d06f97bee72"

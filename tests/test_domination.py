@@ -9,18 +9,16 @@ from hypothesis import given, settings, strategies as st
 from gammagraphs import (
     Graph,
     WorkLimitExceeded,
-    all_pairs_distances,
     domination_number,
     is_distance_d_dominating,
     make_family,
     min_dominating_sets,
-    permute_graph,
 )
 from gammagraphs.classify import enumerate_connected_graphs
 from gammagraphs.domination import distance_balls, result_to_json
-from gammagraphs.fixtures import domination_demo_graph
 
-from helpers import powerset_min_dominating, random_graph
+from fixtures import domination_demo_graph
+from helpers import all_pairs_distances, permute_graph, powerset_min_dominating, random_graph
 
 
 def _as_name_sets(result, g):

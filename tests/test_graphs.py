@@ -10,17 +10,14 @@ from gammagraphs import (
     Graph,
     GraphFormatError,
     UnsupportedSizeError,
-    all_pairs_distances,
     are_isomorphic,
     canonical_form,
     cartesian_product,
     induced_subgraph,
     make_family,
     parse_graph6,
-    permute_graph,
     write_graph6,
 )
-from gammagraphs.fixtures import domination_demo_graph
 from gammagraphs.classify import _connected_words
 from gammagraphs.graphs import (
     _canonical_word,
@@ -30,11 +27,14 @@ from gammagraphs.graphs import (
     read_graph6_lines,
 )
 
+from fixtures import domination_demo_graph
 from helpers import (
     all_graphs_on,
+    all_pairs_distances,
     first_adjacency_fault,
     oracle_canonical_word,
     oracle_equitable_colors,
+    permute_graph,
     random_graph,
 )
 

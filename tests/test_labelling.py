@@ -8,30 +8,31 @@ from gammagraphs import (
     Labelling,
     SearchBudget,
     cartesian_product,
+    connected_components,
     are_isomorphic,
     find_labelling,
+    induced_subgraph,
     is_valid_labelling,
     make_family,
-    middle_label_candidates,
     product_labelling,
-    reduce_pendants,
     star_labelling,
     wheel_labelling,
     with_common_symbol,
 )
 from gammagraphs.classify import decide_labellable, enumerate_connected_graphs
 from gammagraphs.labelling import _pendant_elimination, labelling_to_json, outcome_to_json
-from gammagraphs.fixtures import (
+
+from fixtures import (
     STAR_LABELS,
     WHEEL9_LABELS,
     seven_vertex_a,
     seven_vertex_closing,
 )
-
 from helpers import (
     all_graphs_on,
     check_induced_path_middles,
     check_triangle_forms,
+    middle_label_candidates,
     oracle_minimum_k,
     oracle_pendant_elimination,
     random_graph,
@@ -286,7 +287,7 @@ class TestSearch:
     def test_oracle_confirms_absence_at_k_four(self):
         # the four known minimally unlabellable graphs on <= 5 vertices stay
         # absent at k=4 on both routes
-        from gammagraphs.fixtures import minimal_unlabellable_five
+        from fixtures import minimal_unlabellable_five
         from helpers import oracle_labelling_exists
 
         for g in minimal_unlabellable_five():
@@ -349,17 +350,17 @@ class TestProducts:
 class TestPendantReduction:
     def test_tree_reduces_to_empty(self):
         tree = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
-        assert reduce_pendants(tree).n == 0
+        assert induced_subgraph(tree, _pendant_elimination(tree)[0]).n == 0
 
     def test_triangle_with_pendant(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        reduced = reduce_pendants(g)
+        reduced = induced_subgraph(g, _pendant_elimination(g)[0])
         assert reduced.n == 3 and reduced.edge_count == 3
         assert reduced.names == ("1", "2", "3")
 
     def test_cycle_is_a_fixed_point(self):
         c5 = make_family("cycle", 5)
-        assert reduce_pendants(c5).adj == c5.adj
+        assert induced_subgraph(c5, _pendant_elimination(c5)[0]).adj == c5.adj
 
     def test_elimination_matches_oracle(self):
         graphs = [g for n in range(6) for g in all_graphs_on(n)]
@@ -371,6 +372,20 @@ class TestPendantReduction:
         ]
         for g in graphs:
             assert _pendant_elimination(g) == oracle_pendant_elimination(g), g.edges()
+
+    def test_connected_log_isolates_only_its_last_vertex(self):
+        # reattach_pendants relies on this: the log of a connected graph
+        # names an isolated vertex only as its last entry, when no core
+        # survives
+        graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        rng = random.Random(47)
+        for _ in range(1000):
+            g = random_graph(rng, rng.randint(1, 30), rng.choice([0.05, 0.1, 0.2, 0.35]))
+            graphs += [induced_subgraph(g, comp) for comp in connected_components(g)]
+        for g in graphs:
+            survivors, log = _pendant_elimination(g)
+            isolated = [i for i, (_, attach) in enumerate(log) if attach is None]
+            assert isolated == ([] if survivors else [len(log) - 1]), g.edges()
 
 
 class TestClosedForms:

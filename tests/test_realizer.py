@@ -69,11 +69,11 @@ class TestConstruction:
         r = realize(SMALL, 3)
         for gadget in r.gadgets:
             for head, path in ((gadget.x, gadget.x_path), (gadget.y, gadget.y_path)):
-                head_idx = r.graph.index_of(head)
+                head_idx = r.graph.names.index(head)
                 core_nbrs = {v for v in r.graph.neighbors(head_idx) if v < r.core_size}
                 assert {v + 1 for v in core_nbrs} == set(gadget.member)
                 assert len(path) == r.d - 1
-                chain = [head_idx] + [r.graph.index_of(p) for p in path]
+                chain = [head_idx] + [r.graph.names.index(p) for p in path]
                 for a, b in zip(chain, chain[1:]):
                     assert r.graph.has_edge(a, b)
                 assert r.graph.degree(chain[-1]) == 1  # pendant tip
@@ -81,7 +81,7 @@ class TestConstruction:
     def test_relabelling_recorded(self):
         fam = validate_clutter(9, [frozenset({3, 7}), frozenset({3, 9})])
         r = realize(fam, 1)
-        assert r.relabel_map() == {3: 1, 7: 2, 9: 3}
+        assert dict(r.relabelling) == {3: 1, 7: 2, 9: 3}
         assert verify_realization(r, fam).ok
 
     def test_errors(self):
