@@ -80,8 +80,6 @@ from .labelling import (
     _pendant_elimination,
     find_labelling,
     is_valid_labelling,
-    reattach_pendants,
-    with_common_symbol,
 )
 
 LABELLABLE = "labellable"
@@ -96,8 +94,10 @@ ENUMERATION_MAX_VERTICES = 7
 @dataclass(frozen=True)
 class Verdict:
     """Per-graph outcome; k_bound is the k_max the verdict is relative to.
-    A nonminimal verdict's witness is a vertex tuple, and witness_form the
-    canonical form of the subgraph it induces."""
+    Each component's pendant-stripped core is searched up to it, so a
+    labellable verdict's labelling may have a larger k (see
+    `decide_labellable`).  A nonminimal verdict's witness is a vertex tuple,
+    and witness_form the canonical form of the subgraph it induces."""
 
     status: str
     k_bound: int
@@ -257,35 +257,25 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 # Labellability decisions
 # ---------------------------------------------------------------------------
 
-def _combine_component_labellings(
-    g: Graph, parts: list[tuple[tuple[int, ...], dict[int, frozenset[int]], int]]
-) -> Labelling:
-    """Merge per-component labellings, each keyed by the component's own
-    vertex indices: equalize k (adjoining fresh common symbols), then shift
-    each component onto a disjoint symbol universe."""
-    target_k = max(k for _, _, k in parts)
-    if len(parts) > 1:
-        target_k = max(target_k, 2)
-    labels: list[frozenset[int]] = [frozenset()] * g.n
-    offset = 0
-    for comp, part_labels, k in parts:
-        lab = Labelling(k, tuple(part_labels[idx] for idx in range(len(comp))))
-        while lab.k < target_k:
-            lab = with_common_symbol(lab)
-        width = lab.max_symbol()
-        for idx, v in enumerate(comp):
-            labels[v] = frozenset(sym + offset for sym in lab.labels[idx])
-        offset += width
-    return Labelling(target_k, tuple(labels))
-
-
 def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
     """Split into components, strip pendant/isolated vertices, search each
-    core, and reassemble a full labelling when every component succeeds.
+    core, and build a full labelling when every component succeeds.
 
     Status is "labellable" (with a valid labelling), "unlabellable" (no
     labelling with label size up to the budget's k_max), or "undecided" when
-    the node budget ran out first.
+    the node budget ran out first.  Under an explicit k_max only each
+    component's core is searched up to it: the pendants re-added on top
+    grow the label size, so a labellable verdict may carry a k above k_max.
+
+    The labelling is built in one pass over the components, each on symbols
+    after those of the components before it.  A component starts from its
+    core's labels, or, when no core survives, from a one-symbol label for
+    the last vertex its pendant elimination deleted.  Re-adding a pendant v
+    attached at u adjoins a fresh symbol to every label placed so far and
+    gives v u's previous label plus a second fresh symbol.  Last, fresh
+    common symbols pad every component to the largest label size, and to at
+    least 2 when there are several components, so that labels of different
+    components, which share no symbol, never meet in k - 1 symbols.
     """
     budget = budget or SearchBudget()
     k_bound = budget.k_bound(g)
@@ -296,8 +286,8 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
     for comp in comps:
         sub = g if len(comps) == 1 else induced_subgraph(g, comp)
         survivors, deletions = _pendant_elimination(sub)
-        base: dict[int, frozenset[int]] = {}
-        base_k = 1
+        core_labels: tuple[frozenset[int], ...] = ()
+        k = len(deletions)
         if survivors:
             core = sub if len(survivors) == sub.n else induced_subgraph(sub, survivors)
             outcome = find_labelling(core, budget)
@@ -306,16 +296,34 @@ def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
             if outcome.status == "absent_up_to_k":
                 return Verdict(UNLABELLABLE, k_bound)
             assert outcome.labelling is not None
-            base = dict(zip(survivors, outcome.labelling.labels))
-            base_k = outcome.labelling.k
-        full_labels, full_k = reattach_pendants(deletions, base, base_k)
-        parts.append((comp, full_labels, full_k))
-    if len(parts) == 1:
-        # g is its own component: its labels need no shift
-        _, full_labels, full_k = parts[0]
-        combined = Labelling(full_k, tuple(full_labels[v] for v in range(g.n)))
-    else:
-        combined = _combine_component_labellings(g, parts)
+            core_labels = outcome.labelling.labels
+            k += outcome.labelling.k
+        parts.append((comp, survivors, core_labels, deletions, k))
+    target_k = max(k for *_, k in parts)
+    if len(parts) > 1:
+        target_k = max(target_k, 2)
+    labels: list[set[int]] = [set() for _ in range(g.n)]
+    used = 0  # the largest symbol given out so far
+    for comp, survivors, core_labels, deletions, k in parts:
+        placed = [comp[v] for v in survivors]
+        for v, label in zip(placed, core_labels):
+            labels[v] = {sym + used for sym in label}
+        used += max(map(max, core_labels), default=0)
+        for v, attach in reversed(deletions):
+            if attach is None:
+                labels[comp[v]] = {used + 1}
+                used += 1
+            else:
+                labels[comp[v]] = labels[comp[attach]] | {used + 2}
+                for u in placed:
+                    labels[u].add(used + 1)
+                used += 2
+            placed.append(comp[v])
+        for _ in range(k, target_k):
+            used += 1
+            for u in placed:
+                labels[u].add(used)
+    combined = Labelling(target_k, tuple(labels))
     check = is_valid_labelling(g, combined)
     assert check, f"reconstructed labelling invalid: {check.reason}"
     return Verdict(LABELLABLE, k_bound, combined)

@@ -209,9 +209,7 @@ def _search_order(g: Graph):
     return order, parent_pos, adj_pos, p3_pair
 
 
-def find_labelling(
-    g: Graph, budget: SearchBudget | None = None, *, use_induced_path_rule: bool = True
-) -> SearchOutcome:
+def find_labelling(g: Graph, budget: SearchBudget | None = None) -> SearchOutcome:
     """Search label sizes k = 1..k_max in turn; the first success is returned
     (so the found k is minimal).  A connected input is required.
 
@@ -250,7 +248,7 @@ def find_labelling(
 
     def candidates(pos: int, used: int) -> list[int]:
         pair = p3_pair[pos]
-        if use_induced_path_rule and pair is not None and k >= 2:
+        if pair is not None and k >= 2:
             la, lb = labels[pair[0]], labels[pair[1]]
             t = la & lb
             if t.bit_count() != k - 2:
@@ -386,37 +384,6 @@ def _pendant_elimination(g: Graph):
         start = v if attach is None else min(v, attach)
     survivors = tuple(v for v in range(g.n) if (alive >> v) & 1)
     return survivors, tuple(deletions)
-
-
-def reattach_pendants(
-    deletions, base_labels: dict[int, frozenset[int]], k: int
-) -> tuple[dict[int, frozenset[int]], int]:
-    """Reverse a pendant-elimination log on top of a labelling of the core.
-
-    The log must come from a connected graph.  Its only isolated vertex is
-    then the last one deleted, when no core survives, so it is re-added
-    first, onto no labels, and gets the label {1} with k = 1.  Re-adding a
-    pendant v attached at u: adjoin a fresh common symbol to all current
-    labels, then label v with u's previous label plus a second fresh symbol.
-    """
-    if not deletions:
-        return base_labels, k
-    labels = {v: set(s) for v, s in base_labels.items()}
-    next_sym = max((max(s) for s in labels.values() if s), default=0)
-    for v, attach in reversed(deletions):
-        if attach is None:
-            labels[v] = {1}
-            k = 1
-            next_sym = 1
-        else:
-            old_attach = set(labels[attach])
-            next_sym += 1
-            for s in labels.values():
-                s.add(next_sym)
-            next_sym += 1
-            labels[v] = old_attach | {next_sym}
-            k += 1
-    return {v: frozenset(s) for v, s in labels.items()}, k
 
 
 # ---------------------------------------------------------------------------

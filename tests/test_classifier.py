@@ -47,6 +47,7 @@ from fixtures import (
 from helpers import (
     all_graphs_on,
     is_connected,
+    oracle_minimum_k,
     permute_graph,
     random_graph,
     reference_classification,
@@ -217,6 +218,37 @@ class TestDecideLabellable:
             rows.append((verdict.status, verdict.k_bound, labels))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "034fc59fcce8b104d980b25d3ec23b650e4e36f4ee4cc021507dd45a47dbc4dd"
+
+    def test_every_small_graph_matches_component_oracle(self):
+        # every labelled graph on 1..5 vertices, disconnected ones included,
+        # and each five-vertex one beside an isolated vertex, so that some
+        # disconnected graphs have an unlabellable component: g is
+        # labellable exactly when each component is, and a connected graph
+        # on c vertices with a labelling has one with k <= max(1, c - 1)
+        # (see SearchBudget).  The oracle is memoised by the component's
+        # masks, not by canonical form, so it rests on none of the code it
+        # checks.
+        graphs = [g for n in range(1, 6) for g in all_graphs_on(n)]
+        graphs += [Graph.from_edges(6, g.edges()) for g in all_graphs_on(5)]
+        labellable: dict[tuple, bool] = {}
+        disconnected = unlabellable = 0
+        for g in graphs:
+            comps = connected_components(g)
+            expected = True
+            for comp in comps:
+                sub = induced_subgraph(g, comp)
+                key = (sub.n, sub.adj)
+                if key not in labellable:
+                    labellable[key] = oracle_minimum_k(sub, max(1, sub.n - 1)) is not None
+                expected = expected and labellable[key]
+            verdict = decide_labellable(g)
+            assert verdict.status == (LABELLABLE if expected else UNLABELLABLE), g.edges()
+            if expected:
+                assert is_valid_labelling(g, verdict.labelling)
+            elif len(comps) > 1:
+                unlabellable += 1
+            disconnected += len(comps) > 1
+        assert disconnected == 327 + 1024 and unlabellable > 0
 
 
 class TestMinimality:
