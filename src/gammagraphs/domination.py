@@ -23,10 +23,21 @@ b on the root is never pruned, so its pass is made once for every size.
   non-forbidden dominators (the lowest on a tie).  The node branches on
   each of them, v, in increasing order, and forbids v to the later
   siblings.
+- A node with one pick left (its chosen vertices number s - 1, the root
+  too when s is 1) does not branch.  Its covers are its chosen vertices
+  plus each non-forbidden v in the intersection of the balls of its
+  uncovered vertices, as the last member must dominate all of them.  Some
+  vertex is uncovered there, or a smaller size would have had a cover, so
+  no chosen vertex lies in the intersection.  The volume prune, one
+  popcount, still runs first; the packing pass is skipped, as it would cut
+  the node only when the intersection is empty.  So no node with no pick
+  left is ever visited.
 - So each minimum set C is found exactly once: at every node on its path C
   holds the chosen vertices and no forbidden one, passes both prunes (each
   is a lower bound that C itself meets), and lies below the branch on the
-  lowest member of C among u's dominators only.
+  lowest member of C among u's dominators only.  At the node with one pick
+  left the last member of C is one vertex of the intersection, and each
+  vertex of it gives a different set.
 
 The covers are sorted as index tuples, so the minimum sets come out in
 lexicographic order.  Every search node, at every size from b on, counts
@@ -127,18 +138,34 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
     for count in sorted((ball.bit_count() for ball in balls), reverse=True):
         reach.append(reach[-1] + count)
 
+    def close(uncovered: int, forbidden: int) -> None:
+        """Record the covers of a node with one pick left: the chosen vertices
+        plus each non-forbidden vertex whose ball holds every uncovered one."""
+        last = full & ~forbidden
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            last &= balls[low.bit_length() - 1]
+            if not last:
+                return
+            rest ^= low
+        while last:
+            low = last & -last
+            covers.append(tuple(sorted([*chosen, low.bit_length() - 1])))
+            last ^= low
+
     def visit(covered: int, forbidden: int) -> int:
-        """Count a node below the root and record it if it is a cover; return
-        the vertices to branch on, or 0 for a leaf or a pruned node."""
+        """Count a node below the root; return the vertices to branch on, or
+        0 for a pruned node or one whose last pick `close` settles."""
         nonlocal nodes
         nodes += 1
         if nodes > limit:
             raise WorkLimitExceeded("domination search work limit exceeded", nodes)
-        if covered == full:
-            covers.append(tuple(sorted(chosen)))
-            return 0
         uncovered = full & ~covered
         if uncovered.bit_count() > reach[size - len(chosen)]:
+            return 0
+        if len(chosen) + 1 == size:
+            close(uncovered, forbidden)
             return 0
         allowed = ~forbidden
         # Lower bound: uncovered vertices whose remaining dominators are
@@ -167,12 +194,16 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
 
     while not covers:
         size += 1
-        # One frame per node on the current path that may still branch:
-        # [covered, forbidden, branches left].  chosen[i] is the vertex taken
-        # from frame i, so a leaf or pruned node never gets a frame.
         nodes += 1
         if nodes > limit:
             raise WorkLimitExceeded("domination search work limit exceeded", nodes)
+        if size == 1:
+            close(full, 0)
+            continue
+        # One frame per node on the current path that may still branch:
+        # [covered, forbidden, branches left].  chosen[i] is the vertex taken
+        # from frame i, so a pruned node or one with one pick left never gets
+        # a frame.
         stack = [[0, 0, root]]
         while stack:
             frame = stack[-1]

@@ -105,12 +105,19 @@ def is_valid_labelling(g: Graph, lab: Labelling) -> ValidationResult:
             return ValidationResult(
                 False, f"label of vertex {g.names[v]} has size {len(s)}, expected {k}"
             )
-    labels = lab.labels
+    # each label as a bitmask over its symbols, so a pair's intersection
+    # size is one popcount
+    masks = []
+    for s in lab.labels:
+        mask = 0
+        for sym in s:
+            mask |= 1 << sym
+        masks.append(mask)
     for i in range(g.n):
         row = g.adj[i]
-        li = labels[i]
+        mi = masks[i]
         for j in range(i + 1, g.n):
-            inter = len(li & labels[j])
+            inter = (mi & masks[j]).bit_count()
             if (row >> j) & 1:
                 if inter == k - 1:
                     continue

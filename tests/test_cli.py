@@ -56,12 +56,12 @@ class TestGammaGraph:
         assert len(doc["edges"]) == 6
 
     def test_node_limit_exhaustion_exit_code(self, capsys):
-        # cycle(9): the one search, at the root packing bound 3, visits 19 nodes
+        # cycle(9): the one search, at the root packing bound 3, visits 10 nodes
         argv = ["gammagraph", "--d", "1", "--graph6", "HhCGGE@", "--node-limit"]
-        assert run(argv + ["18"]) == 3
+        assert run(argv + ["9"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "19 nodes examined" in captured.err
-        code, doc = _run_json(capsys, argv + ["19"])
+        assert captured.out == "" and "10 nodes examined" in captured.err
+        code, doc = _run_json(capsys, argv + ["10"])
         assert code == 0 and doc["gamma"] == 3 and len(doc["vertices"]) == 3
 
     def test_long_path_output_pinned(self, capsys):

@@ -132,6 +132,54 @@ class TestOracleAgreement:
         as_tuples = [tuple(sorted(s)) for s in result.min_sets]
         assert as_tuples == sorted(as_tuples)
 
+    def test_sparse_graphs_with_deep_last_picks(self):
+        # gamma 4-7 puts the one-pick-left nodes, whose covers are settled
+        # without children, three to six picks deep
+        rng = random.Random(23)
+        wanted = {1: 30, 2: 10}
+        found = {1: [], 2: []}
+        while any(len(found[d]) < wanted[d] for d in wanted):
+            g = _sparse_graph(rng, rng.randint(10, 14))
+            for d, kept in found.items():
+                if len(kept) == wanted[d]:
+                    continue
+                gamma, sets = powerset_min_dominating(g, d)
+                if 4 <= gamma <= 7:
+                    result = min_dominating_sets(g, d)
+                    assert (result.gamma, set(result.min_sets)) == (gamma, sets)
+                    assert len(result.min_sets) == len(sets)
+                    kept.append(gamma)
+        assert set(found[1]) == {4, 5, 6} and set(found[2]) == {4}
+
+
+def _sparse_graph(rng, n):
+    """A relabelled graph on n >= 9 vertices whose one to three components
+    are random trees (paths of 1-4 new vertices hung from a placed vertex)
+    and cycles with a chord or two."""
+    edges = set()
+    start = 0
+    parts = rng.randint(1, 3)
+    while start < n:
+        size = n - start if parts == 1 else rng.randint(3, n - start - 3 * (parts - 1))
+        parts -= 1
+        if rng.random() < 0.5:
+            v = 1
+            while v < size:
+                end = rng.randrange(v)
+                for _ in range(min(rng.randint(1, 4), size - v)):
+                    edges.add((start + end, start + v))
+                    end, v = v, v + 1
+        else:
+            edges.update((start + v, start + (v + 1) % size) for v in range(size))
+            for _ in range(rng.randint(1, 2)):
+                u, v = rng.sample(range(start, start + size), 2)
+                if (u, v) not in edges and (v, u) not in edges:
+                    edges.add((u, v))
+        start += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
 
 def _relabelled(g, seed):
     perm = list(range(g.n))
@@ -149,10 +197,10 @@ class TestClosedForms:
 
     def test_relabelled_cycle_forty_distance_two(self):
         # the five tilings of the cycle by 5-vertex balls
-        result = min_dominating_sets(
-            _relabelled(make_family("cycle", 40), 7), 2, node_limit=5_000_000
-        )
+        g = _relabelled(make_family("cycle", 40), 7)
+        result = min_dominating_sets(g, 2, node_limit=5_000_000)
         assert result.gamma == 8 and len(result.min_sets) == 5
+        _assert_distinct_sorted_dominating(g, 2, result)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("gamma", [4, 5, 6, 7])
@@ -166,8 +214,23 @@ class TestClosedForms:
         assert frozenset().union(*result.min_sets) == frozenset(range(n))
 
     def test_relabelled_hypercube_five(self):
-        result = min_dominating_sets(_relabelled(make_family("hypercube", 5), 11), 1)
+        g = _relabelled(make_family("hypercube", 5), 11)
+        result = min_dominating_sets(g, 1)
         assert result.gamma == 7 and len(result.min_sets) == 320
+        _assert_distinct_sorted_dominating(g, 1, result)
+
+
+def _assert_distinct_sorted_dominating(g, d, result):
+    """Each set has gamma members and dominates by breadth-first distances,
+    no set repeats, and the sets are in lexicographic order."""
+    dm = all_pairs_distances(g)
+    as_tuples = [tuple(sorted(s)) for s in result.min_sets]
+    for members in as_tuples:
+        assert len(members) == result.gamma
+        for v in range(g.n):
+            assert any(dm.dist(u, v) is not None and dm.dist(u, v) <= d for u in members)
+    assert len(set(as_tuples)) == len(as_tuples)
+    assert as_tuples == sorted(as_tuples)
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -217,25 +280,27 @@ def test_work_limit_reported():
 
 def test_work_limit_counts_search_nodes():
     # the search starts at the root packing bound, 3 on the 9-cycle, and
-    # visits 19 nodes, each counted once
+    # visits 10 nodes, each counted once: the root, its 3 branches and their
+    # 6 branches, which have one pick left and settle their covers without
+    # children
     g = make_family("cycle", 9)
-    result = min_dominating_sets(g, 1, node_limit=19)
+    result = min_dominating_sets(g, 1, node_limit=10)
     assert result.gamma == 3 and len(result.min_sets) == 3
     with pytest.raises(WorkLimitExceeded, match="work limit") as exc:
-        min_dominating_sets(g, 1, node_limit=18)
-    assert exc.value.examined == 19
+        min_dominating_sets(g, 1, node_limit=9)
+    assert exc.value.examined == 10
 
 
 def test_sizes_start_at_the_root_packing_bound():
     # every vertex of an edgeless graph needs itself, so the root bound is n:
-    # one search at size n, a root and a chain of n nodes, and no root visit
-    # at the sizes below
+    # one search at size n, a root and a chain of n - 1 nodes whose last one
+    # closes its last pick, and no root visit at the sizes below
     g = Graph.from_edges(1050, [])
-    result = min_dominating_sets(g, 1, node_limit=1051)
+    result = min_dominating_sets(g, 1, node_limit=1050)
     assert result.gamma == 1050 and len(result.min_sets) == 1
     with pytest.raises(WorkLimitExceeded) as exc:
-        min_dominating_sets(g, 1, node_limit=1050)
-    assert exc.value.examined == 1051
+        min_dominating_sets(g, 1, node_limit=1049)
+    assert exc.value.examined == 1050
 
 
 @pytest.mark.parametrize(
@@ -243,8 +308,8 @@ def test_sizes_start_at_the_root_packing_bound():
     [
         # before the volume prune the packing bound alone took 2,960 and
         # 2,554 nodes on these two searches
-        (42, 3, 256),
-        (40, 2, 305),
+        (42, 3, 211),
+        (40, 2, 283),
     ],
 )
 def test_volume_prune_node_counts(n, d, nodes):
@@ -277,14 +342,15 @@ def _search_nodes(g, d):
 
 def test_node_counts_pinned_up_to_six_vertices():
     # every connected graph with n <= 6 at d = 1, 2 (286 searches); when
-    # pinned, each count was checked to be the count of the search that tried
-    # every size from 1, less one root visit per size below the root bound
+    # pinned, each count was checked against a search that tried every size
+    # from 1 and visited the nodes with no pick left: it is that count less
+    # one root visit per size below the root bound and less those visits
     counts = tuple(
         _search_nodes(g, d) for n in range(1, 7) for g in enumerate_connected_graphs(n) for d in (1, 2)
     )
-    assert sum(counts) == 2202
+    assert sum(counts) == 567
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()
-    assert digest == "8b964741f8e82cbca91a686b7de0eb23293f1c1d8c92e90de93d875d4ab9a8e2"
+    assert digest == "14376fb8b16c672db1f0c2565b2bab8d33b8b962ec1fb71aae6240f4d259a874"
 
 
 def test_seven_by_seven_grid_within_a_small_budget():

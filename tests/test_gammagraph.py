@@ -132,12 +132,12 @@ def test_json_document():
 
 def test_node_limit_counts_domination_nodes():
     # on the 9-cycle the root packing bound is 3 = gamma, and the one
-    # search, at size 3, visits 19 nodes
+    # search, at size 3, visits 10 nodes
     g = make_family("cycle", 9)
     with pytest.raises(WorkLimitExceeded) as exc:
-        build_gamma_graph(g, 1, node_limit=18)
-    assert exc.value.examined == 19
-    gg = build_gamma_graph(g, 1, node_limit=19)
+        build_gamma_graph(g, 1, node_limit=9)
+    assert exc.value.examined == 10
+    gg = build_gamma_graph(g, 1, node_limit=10)
     assert gg.gamma == 3 and gg.base.n == 3
 
 
