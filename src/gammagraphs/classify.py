@@ -348,6 +348,11 @@ class _Records:
     inputs all have the same size never needs those forms, and for large
     symmetric inputs they cost far more than the search (on a 2-vCPU host
     the 14-cycle's form takes about 1 s, its labelling under a millisecond).
+
+    A batch is not settled by containment, as `classify_connected` settles
+    its walk: on batches of 10-12-vertex graphs that was 1.8-3.4x slower, and
+    it settles a class from whichever of its members comes first, which
+    changes verdicts under a node limit.
     """
 
     def __init__(self, budget: SearchBudget):

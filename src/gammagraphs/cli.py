@@ -64,18 +64,6 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(k_max=args.k_max, node_limit=args.node_limit)
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph6", help="inline graph6 word")
-    src.add_argument("--in", dest="infile", help="file of graph6 words, one per line")
-
-
-def _add_set_source(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--sets", help="comma-separated digit strings, e.g. 123,124")
-    src.add_argument("--sets-file", help='JSON file {"n": ..., "members": [[...], ...]}')
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it:
@@ -87,65 +75,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", help="domination number and all minimum sets")
-    p.add_argument("--d", type=int, required=True)
-    _add_graph_source(p)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--out")
-
-    p = sub.add_parser("gammagraph", help="build the gamma-graph")
-    p.add_argument("--d", type=int, required=True)
-    _add_graph_source(p)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--out")
-
-    p = sub.add_parser("realize", help="graph whose minimum dominating sets are the given family")
-    p.add_argument("--d", type=int, required=True)
-    _add_set_source(p)
-    p.add_argument("--verify", action="store_true", help="re-enumerate and check the result")
-    p.add_argument("--out")
-
-    p = sub.add_parser("blocker", help="minimal transversals of a set family")
-    _add_set_source(p)
-    p.add_argument("--out")
-
-    p = sub.add_parser("label", help="search for a valid vertex labelling")
-    _add_graph_source(p)
-    p.add_argument("--k-max", type=int, default=None, help="largest label size tried (default: max(2, n))")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--out")
-
-    p = sub.add_parser("classify", help="labellability classification of a graph batch")
-    src = p.add_mutually_exclusive_group(required=True)
+    # Each option is declared once, in a parent; a command lists them in its --help order.
+    out, limit, dist, k_max, verify, graphs, sets, batch = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8)
+    )
+    out.add_argument("--out")
+    limit.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    dist.add_argument("--d", type=int, required=True)
+    k_max.add_argument("--k-max", type=int, default=None, help="largest label size tried (default: max(2, n))")
+    verify.add_argument("--verify", action="store_true", help="re-enumerate and check the result")
+    src = graphs.add_mutually_exclusive_group(required=True)
+    src.add_argument("--graph6", help="inline graph6 word")
+    src.add_argument("--in", dest="infile", help="file of graph6 words, one per line")
+    src = sets.add_mutually_exclusive_group(required=True)
+    src.add_argument("--sets", help="comma-separated digit strings, e.g. 123,124")
+    src.add_argument("--sets-file", help='JSON file {"n": ..., "members": [[...], ...]}')
+    src = batch.add_mutually_exclusive_group(required=True)
     src.add_argument("--max-n", type=int, help="classify all connected graphs with 1..N vertices")
     src.add_argument("--in", dest="infile", help="file of graph6 words")
-    p.add_argument("--k-max", type=int, default=None, help="largest label size tried (default: max(2, n))")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p.add_argument("--out")
 
-    p = sub.add_parser("family", help="construct a named graph family member")
+    for name, parents, text in (
+        ("gamma", [dist, graphs, limit, out], "domination number and all minimum sets"),
+        ("gammagraph", [dist, graphs, limit, out], "build the gamma-graph"),
+        ("realize", [dist, sets, verify, out], "graph whose minimum dominating sets are the given family"),
+        ("blocker", [sets, out], "minimal transversals of a set family"),
+        ("label", [graphs, k_max, limit, out], "search for a valid vertex labelling"),
+        ("classify", [batch, k_max, limit, out], "labellability classification of a graph batch"),
+    ):
+        sub.add_parser(name, parents=parents, help=text)
+    p = sub.add_parser("family", parents=[out], help="construct a named graph family member")
     p.add_argument("name", help="path|cycle|complete|complete-bipartite|wheel|fan|prism|hypercube")
     p.add_argument("params", type=int, nargs="+")
-    p.add_argument("--out")
 
     return parser
 
 
+def _emit_per_graph(args, doc_of) -> list:
+    """Emit doc_of(g) for each input graph: one document for --graph6, a list for --in."""
+    docs = [doc_of(g) for g in _input_graphs(args)]
+    _emit(docs[0] if args.graph6 is not None else docs, args.out)
+    return docs
+
+
 def _run_gamma(args) -> int:
-    docs = [
-        result_to_json(g, min_dominating_sets(g, args.d, node_limit=args.node_limit))
-        for g in _input_graphs(args)
-    ]
-    _emit(docs[0] if args.graph6 else docs, args.out)
+    _emit_per_graph(args, lambda g: result_to_json(g, min_dominating_sets(g, args.d, args.node_limit)))
     return EXIT_OK
 
 
 def _run_gammagraph(args) -> int:
-    docs = []
-    for g in _input_graphs(args):
-        gg = build_gamma_graph(g, args.d, node_limit=args.node_limit)
-        docs.append(gamma_graph_to_json(g, gg))
-    _emit(docs[0] if args.graph6 else docs, args.out)
+    _emit_per_graph(args, lambda g: gamma_graph_to_json(g, build_gamma_graph(g, args.d, args.node_limit)))
     return EXIT_OK
 
 
@@ -169,15 +147,8 @@ def _run_blocker(args) -> int:
 
 
 def _run_label(args) -> int:
-    graphs = _input_graphs(args)
-    docs = []
-    exhausted = False
-    for g in graphs:
-        outcome = find_labelling(g, _budget(args))
-        exhausted = exhausted or outcome.status == "budget_exhausted"
-        docs.append(outcome_to_json(g, outcome))
-    _emit(docs[0] if args.graph6 else docs, args.out)
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    docs = _emit_per_graph(args, lambda g: outcome_to_json(g, find_labelling(g, _budget(args))))
+    return EXIT_BUDGET if any(doc["status"] == "budget_exhausted" for doc in docs) else EXIT_OK
 
 
 def _run_classify(args) -> int:

@@ -39,6 +39,14 @@ class TestGamma:
         code, docs = _run_json(capsys, ["gamma", "--d", "1", "--in", str(path)])
         assert code == 0 and [d["gamma"] for d in docs] == [1, 1]
 
+    def test_file_input_exhaustion_emits_nothing(self, tmp_path, capsys):
+        # cycle(9), the second graph, runs out of budget after K3 was solved
+        path = tmp_path / "graphs.g6"
+        path.write_text("Bw\nHhCGGE@\n")
+        assert run(["gamma", "--d", "1", "--in", str(path), "--node-limit", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "10 nodes examined" in captured.err
+
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_node_limit_below_one_is_usage_error(self, capsys, limit):
         code = run(["gamma", "--d", "1", "--graph6", "FhNGW", "--node-limit", limit])
@@ -194,6 +202,16 @@ class TestLabel:
     def test_disconnected_is_a_usage_error(self, capsys):
         assert run(["label", "--graph6", "B?"]) == 2
 
+    def test_file_input_emits_every_outcome(self, tmp_path, capsys):
+        # one exhausted search sets the exit code; the list still holds both
+        path = tmp_path / "graphs.g6"
+        path.write_text("Bw\nD]o\n")
+        argv = ["label", "--in", str(path), "--k-max", "6", "--node-limit", "181"]
+        code, docs = _run_json(capsys, argv)
+        assert code == 3
+        assert [(d["status"], d.get("k")) for d in docs] == [("found", 1), ("budget_exhausted", None)]
+        assert (docs[1]["nodes"], docs[1]["frontier_k"]) == (182, 4)
+
 
 class TestClassify:
     def test_max_n_three(self, capsys):
@@ -272,6 +290,56 @@ class TestFamily:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
         assert expected in captured.err
+
+
+MIXED_BATCH = ["GwCGg?", "B?", "F]o?G", "Gh?GW[", "Dhc", "IJ??GC@@G"]
+FOREST_BATCH = ["HhCGGC@", "Esa?", "IiC?GCA??", "HxCI??@", "Gl?GWC", "E???"]
+# hypercube(5), relabelled: gamma 7 and 320 minimum sets
+CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G?GX?@IAA?GPADG???o"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["classify", "--max-n", "7"], "1f66ef222cd612c9013e7daa8a3fb5a30f2194d2fd4db0f8aaa6b0c893e85357"),
+        (
+            ["classify", "--max-n", "7", "--node-limit", "1000"],
+            "48127399bdf4a3d771b44f498cdcaceaf86035370c19ab3763c955a7a0ec32f6",
+        ),
+        (
+            ["classify", "--max-n", "7", "--k-max", "3"],
+            "707276f11ba0317d154f9758d75b3ff83f212b80f72b7df733cfe9886bb4890f",
+        ),
+        (
+            ["classify", "--in", "mixed.g6"],
+            "fdbec8534f018d5ac2ca0fc201e37c1b65db78fa6e164fe37b83bda3f8899923",
+        ),
+        (
+            ["classify", "--in", "forests.g6"],
+            "e9b3374e614bba316f81d893d4abaeabffcc3d2bb38a3d62905002e7e7f57826",
+        ),
+        (
+            ["classify", "--in", "forests.g6", "--k-max", "3"],
+            "7d90e842fc7a57f107bc1bebd8af9405d12d0d6d6caf8dc613f39780dc955d31",
+        ),
+        (
+            ["gammagraph", "--d", "1", "--graph6", CUBE5_WORD],
+            "901c51124927e89d293811c0f828a0c6463660520f9962494f897d343415956a",
+        ),
+        (
+            ["gamma", "--d", "1", "--graph6", "FhNGW"],
+            "3cab7e72a30e4c4f134990a041244fd10fdee4891435b4ed02756d7b7dc998b7",
+        ),
+    ],
+    ids=["max-n-7", "max-n-7-nodes1000", "max-n-7-k3", "mixed", "forests", "forests-k3", "cube5", "demo"],
+)
+def test_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
+    # the sha256 digests of stdout that CI's console-script smoke test pins
+    (tmp_path / "mixed.g6").write_text("".join(w + "\n" for w in MIXED_BATCH))
+    (tmp_path / "forests.g6").write_text("".join(w + "\n" for w in FOREST_BATCH))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCommandSet:
