@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
-from .graphs import Graph
+from .graphs import Graph, _neighbour_lists
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,15 @@ def distance_balls(g: Graph, d: int) -> list[int]:
     if d < 1:
         raise ValueError("distance parameter d must be >= 1")
     closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    if d == 1:
+        return closed
+    nbrs = _neighbour_lists(g.adj)
     balls = closed
     for _ in range(d - 1):
         grown = []
-        for v in range(g.n):
-            ball = closed[v]
-            rest = g.adj[v]
-            while rest:
-                low = rest & -rest
-                ball |= balls[low.bit_length() - 1]
-                rest ^= low
+        for ball, around in zip(closed, nbrs):
+            for u in around:
+                ball |= balls[u]
             grown.append(ball)
         if grown == balls:
             break

@@ -1,12 +1,14 @@
 import hashlib
 import inspect
 import json
+import tracemalloc
 
 import pytest
 
 import gammagraphs.cli as cli
 import gammagraphs.realizer as realizer
 from gammagraphs import SearchBudget, blocker, make_family, min_dominating_sets, write_graph6
+from gammagraphs.classify import classify_connected, report_to_json
 from gammagraphs.cli import build_parser, run
 from gammagraphs.errors import DEFAULT_NODE_LIMIT
 
@@ -340,6 +342,25 @@ def test_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    # --out writes the same bytes; the max-n-7 documents span many write batches
+    assert run([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
+def test_emit_streams_in_bounded_memory(tmp_path):
+    doc = report_to_json(classify_connected(7))
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cli._emit(doc, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # joining the whole text held about 2.4 MB for this 353 KB document
+    assert peak < 512 * 1024
+    assert path.read_text(encoding="ascii") == json.dumps(doc, indent=2) + "\n"
 
 
 class TestCommandSet:
