@@ -77,7 +77,6 @@ from .graphs import (
 from .labelling import (
     Labelling,
     SearchBudget,
-    _pendant_elimination,
     find_labelling,
     is_valid_labelling,
 )
@@ -94,7 +93,7 @@ ENUMERATION_MAX_VERTICES = 7
 @dataclass(frozen=True)
 class Verdict:
     """Per-graph outcome; k_bound is the k_max the verdict is relative to.
-    Each component's pendant-stripped core is searched up to it, so a
+    Each block is searched up to it, and gluing the blocks can grow k, so a
     labellable verdict's labelling may have a larger k (see
     `decide_labellable`).  A nonminimal verdict's witness is a vertex tuple,
     and witness_form the canonical form of the subgraph it induces."""
@@ -257,73 +256,107 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 # Labellability decisions
 # ---------------------------------------------------------------------------
 
+def _blocks(adj: Sequence[int]) -> list[list[int]]:
+    """The blocks of the graph `adj` (maximal 2-connected subgraphs, bridges
+    and isolated vertices), by Hopcroft and Tarjan's depth-first search
+    ("Efficient algorithms for graph manipulation", 1973) on an explicit
+    stack.  A block is listed from the vertex the search backed up to, then
+    the child it backed up from.  Every vertex but a root is a non-first
+    vertex of one block only, so with the blocks ordered by when their second
+    vertex was found, each shares exactly its first vertex with the blocks
+    before it, or none when it starts a component."""
+    disc, low = [0] * len(adj), [0] * len(adj)  # discovery times from 1, and low points
+    found = []  # (discovery time of the second vertex, block)
+    time = 0
+    for root in range(len(adj)):
+        if disc[root]:
+            continue
+        disc[root] = low[root] = time = time + 1
+        if not adj[root]:
+            found.append((time, [root]))
+        path = [root]  # found vertices whose block is still open
+        stack = [[root, adj[root], 0]]  # [vertex, neighbours left to examine, its index in path]
+        while stack:
+            v, rest, at = frame = stack[-1]
+            if rest:
+                frame[1] = rest & (rest - 1)
+                w = (rest & -rest).bit_length() - 1
+                if disc[w]:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    disc[w] = low[w] = time = time + 1
+                    stack.append([w, adj[w], len(path)])
+                    path.append(w)
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    found.append((disc[v], [u, *path[at:]]))
+                    del path[at:]
+    return [block for _, block in sorted(found)]
+
+
 def decide_labellable(g: Graph, budget: SearchBudget | None = None) -> Verdict:
-    """Split into components, strip pendant/isolated vertices, search each
-    core, and build a full labelling when every component succeeds.
+    """Decide whether g is labellable, block by block (see `_blocks`).
 
-    Status is "labellable" (with a valid labelling), "unlabellable" (no
-    labelling with label size up to the budget's k_max), or "undecided" when
-    the node budget ran out first.  Under an explicit k_max only each
-    component's core is searched up to it: the pendants re-added on top
-    grow the label size, so a labellable verdict may carry a k above k_max.
+    Status is "labellable" (with a valid labelling), "unlabellable" (a block
+    has no labelling with k up to k_max) or "undecided" (a block's search ran
+    out of nodes).  k_max bounds each block, a hereditary property; gluing
+    may grow k past it (the claw gets 3 at k_max 2).
 
-    The labelling is built in one pass over the components, each on symbols
-    after those of the components before it.  A component starts from its
-    core's labels, or, when no core survives, from a one-symbol label for
-    the last vertex its pendant elimination deleted.  Re-adding a pendant v
-    attached at u adjoins a fresh symbol to every label placed so far and
-    gives v u's previous label plus a second fresh symbol.  Last, fresh
-    common symbols pad every component to the largest label size, and to at
-    least 2 when there are several components, so that labels of different
-    components, which share no symbol, never meet in k - 1 symbols.
+    A graph is labellable exactly when each of its blocks is.  Only if: by
+    heredity.  If: glue the blocks in order onto the part P labelled so far.
+    Complete blocks get distinct singletons, the others are searched.  A
+    block starting a component gets fresh symbols, all labels padded to a
+    common k >= 2.  Else B meets P in its first vertex v; A_P are the symbols
+    of L_P(v) that v's neighbours in P swap out, A_B the same in B.  Pad both
+    sides with fresh common symbols to k = max(k_P, k_B, |A_P| + |A_B|),
+    rename B's L(v) onto L_P(v) with A_B sent outside A_P, and B's other
+    symbols to fresh ones.  Labels of P and B now share only symbols of L(v):
+    at most k - 2 unless both are v's neighbours, and then k - 2, as they
+    swap out different symbols (had they swapped the same, they would meet
+    in k - 1).  So a tree gets k equal to its largest degree, the least, as
+    a vertex's non-adjacent neighbours swap out distinct symbols.
     """
     budget = budget or SearchBudget()
     k_bound = budget.k_bound(g)
-    if g.n == 0:
-        return Verdict(LABELLABLE, k_bound, Labelling(1, ()))
-    comps = connected_components(g)
-    parts = []
-    for comp in comps:
-        sub = g if len(comps) == 1 else induced_subgraph(g, comp)
-        survivors, deletions = _pendant_elimination(sub)
-        core_labels: tuple[frozenset[int], ...] = ()
-        k = len(deletions)
-        if survivors:
-            core = sub if len(survivors) == sub.n else induced_subgraph(sub, survivors)
-            outcome = find_labelling(core, budget)
-            if outcome.status == "budget_exhausted":
-                return Verdict(UNDECIDED, k_bound)
-            if outcome.status == "absent_up_to_k":
-                return Verdict(UNLABELLABLE, k_bound)
-            assert outcome.labelling is not None
-            core_labels = outcome.labelling.labels
-            k += outcome.labelling.k
-        parts.append((comp, survivors, core_labels, deletions, k))
-    target_k = max(k for *_, k in parts)
-    if len(parts) > 1:
-        target_k = max(target_k, 2)
-    labels: list[set[int]] = [set() for _ in range(g.n)]
-    used = 0  # the largest symbol given out so far
-    for comp, survivors, core_labels, deletions, k in parts:
-        placed = [comp[v] for v in survivors]
-        for v, label in zip(placed, core_labels):
-            labels[v] = {sym + used for sym in label}
-        used += max(map(max, core_labels), default=0)
-        for v, attach in reversed(deletions):
-            if attach is None:
-                labels[comp[v]] = {used + 1}
-                used += 1
-            else:
-                labels[comp[v]] = labels[comp[attach]] | {used + 2}
-                for u in placed:
-                    labels[u].add(used + 1)
-                used += 2
-            placed.append(comp[v])
-        for _ in range(k, target_k):
-            used += 1
-            for u in placed:
-                labels[u].add(used)
-    combined = Labelling(target_k, tuple(labels))
+    labels: list[tuple[set[int], int] | None] = [None] * g.n  # (symbols, len(common) when placed)
+    common: list[int] = []  # P's padding: a label also holds the symbols added after it was placed
+    def full(u: int) -> set[int]:
+        return labels[u][0].union(common[labels[u][1]:])
+    swapped: dict[int, set[int]] = {}  # A_P of each vertex glued at so far, kept as it grows
+    fresh = itertools.count(1)  # the symbols not given out yet
+    k = 0  # the label size, 0 while nothing is placed
+    for block in _blocks(g.adj):
+        mask = sum(1 << w for w in block)
+        if all((g.adj[w] | 1 << w) & mask == mask for w in block):
+            k_b, own = 1, {w: {i} for i, w in enumerate(block, 1)}
+        else:
+            outcome = find_labelling(g if len(block) == g.n else induced_subgraph(g, block), budget)
+            if not outcome:
+                return Verdict(UNDECIDED if outcome.status == "budget_exhausted" else UNLABELLABLE, k_bound)
+            k_b, own = outcome.k, dict(zip(sorted(block), outcome.labelling.labels))
+        v = block[0]
+        a_p, a_b = set(), set()
+        if labels[v]:
+            if v not in swapped:
+                swapped[v] = set().union(*(full(v) - full(u) for u in g.neighbors(v) if labels[u]))
+            a_p = swapped[v]
+            a_b = set().union(*(own[v] - own[w] for w in block[1:] if g.has_edge(v, w)))
+        k_new = max(k, k_b, 2 if k else 1, len(a_p) + len(a_b))
+        common += [next(fresh) for _ in range(k_new - k)] if k else []
+        target = sorted(full(v) - a_p) + sorted(a_p) if labels[v] else []
+        rename = dict(zip(sorted(a_b) + sorted(own[v] - a_b), target))
+        rename.update((sym, next(fresh)) for sym in sorted(set().union(*own.values()) - rename.keys()))
+        pads = target[k_b:] or [next(fresh) for _ in range(k_new - k_b)]
+        for w in block:
+            if not labels[w]:
+                labels[w] = ({rename[sym] for sym in own[w]}.union(pads), len(common))
+        a_p.update(rename[sym] for sym in a_b)
+        k = k_new
+    combined = Labelling(max(k, 1), tuple(map(full, range(g.n))))
     check = is_valid_labelling(g, combined)
     assert check, f"reconstructed labelling invalid: {check.reason}"
     return Verdict(LABELLABLE, k_bound, combined)

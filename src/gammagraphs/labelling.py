@@ -360,39 +360,6 @@ def product_labelling(g1: Graph, lab1: Labelling, g2: Graph, lab2: Labelling) ->
     return result
 
 
-def _pendant_elimination(g: Graph):
-    """Repeatedly delete the lowest-index vertex of degree <= 1.
-
-    Returns (surviving vertex indices ascending, deletion log), where each
-    log entry is (vertex, its single remaining neighbour or None).
-
-    Deleting v lowers only its neighbour's degree, and every vertex below v
-    had two or more live neighbours, so the next scan starts at the lower of
-    v and that neighbour.
-    """
-    adj = g.adj
-    alive = (1 << g.n) - 1
-    deletions: list[tuple[int, int | None]] = []
-    start = 0
-    while True:
-        rest = (alive >> start) << start
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            live = adj[v] & alive
-            if live & (live - 1) == 0:
-                break
-            rest ^= low
-        else:
-            break
-        alive ^= low
-        attach = live.bit_length() - 1 if live else None
-        deletions.append((v, attach))
-        start = v if attach is None else min(v, attach)
-    survivors = tuple(v for v in range(g.n) if (alive >> v) & 1)
-    return survivors, tuple(deletions)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form labellings for wheels and stars
 # ---------------------------------------------------------------------------

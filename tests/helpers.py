@@ -205,20 +205,32 @@ def oracle_labelling_exists(g: Graph, k: int) -> bool:
     return rec(0)
 
 
-def oracle_pendant_elimination(g: Graph):
-    """Delete the lowest-index vertex with at most one live neighbour until
-    none is left, finding live neighbours by testing every live vertex.
-    Returns (survivors ascending, log of (vertex, its neighbour or None))."""
-    alive = set(range(g.n))
-    log = []
-    while True:
-        low = [v for v in sorted(alive) if sum(g.has_edge(u, v) for u in alive) <= 1]
-        if not low:
-            return tuple(sorted(alive)), tuple(log)
-        v = low[0]
-        nbrs = [u for u in alive if g.has_edge(u, v)]
-        log.append((v, nbrs[0] if nbrs else None))
-        alive.remove(v)
+def oracle_blocks(g: Graph) -> set[frozenset[int]]:
+    """The blocks of g by brute force over its vertex subsets: the maximal
+    sets whose induced graph is connected with no cut vertex, where v is a
+    cut vertex when deleting it disconnects its component.  One edge and one
+    isolated vertex qualify, as deleting a vertex of either leaves a
+    connected graph.  Sets are scanned largest first, so a set is maximal
+    exactly when no set kept before contains it."""
+
+    def connected(s: int) -> bool:
+        reached = frontier = s & -s
+        while frontier:
+            grown = 0
+            for v in range(g.n):
+                if frontier >> v & 1:
+                    grown |= g.adj[v]
+            frontier = grown & s & ~reached
+            reached |= frontier
+        return reached == s
+
+    conn = [connected(s) for s in range(1 << g.n)]
+    kept: list[int] = []
+    for s in sorted(range(1, 1 << g.n), key=lambda s: -s.bit_count()):
+        if (conn[s] and all(conn[s & ~(1 << v)] for v in range(g.n) if s >> v & 1)
+                and not any(s & ~t == 0 for t in kept)):
+            kept.append(s)
+    return {frozenset(v for v in range(g.n) if s >> v & 1) for s in kept}
 
 
 def oracle_minimum_k(g: Graph, k_limit: int) -> int | None:

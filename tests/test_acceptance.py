@@ -243,6 +243,23 @@ def test_wheel_and_fan_families():
             assert verdict.status == UNLABELLABLE_NONMINIMAL, f"fan {(m, n)}"
 
 
+@pytest.mark.parametrize(
+    "family, params, k, limit_seconds",
+    [("path", (1500,), 2, 1.5), ("complete_bipartite", (1, 1499), 1499, 5.0)],
+    ids=["path-1500", "star-1499"],
+)
+def test_large_sparse_decisions(family, params, k, limit_seconds):
+    # every block is a bridge, 1499 of them: the block search keeps its own
+    # stack, so no recursion limit applies, and each glue reads only the
+    # glued vertex's swapped-out symbols.  On a 2-vCPU host the path takes
+    # 0.15-0.3 s; the star's labels hold 1499 symbols each, and it takes
+    # 1.4-2.3 s, about 0.85 s of it in the closing validity check.
+    g = make_family(family, *params)
+    with criterion(f"decide-{family}-{g.n}", limit_seconds):
+        verdict = decide_labellable(g)
+    assert verdict.status == LABELLABLE and verdict.labelling.k == k
+
+
 def test_seven_vertex_fixtures():
     with criterion("seven-vertex-fixtures", 300.0):
         budget7 = SearchBudget(k_max=7)

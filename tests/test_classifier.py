@@ -29,6 +29,7 @@ from gammagraphs.classify import (
     UNLABELLABLE,
     UNLABELLABLE_NONMINIMAL,
     Verdict,
+    _blocks,
     classify,
     classify_connected,
     decide_labellable,
@@ -47,6 +48,7 @@ from fixtures import (
 from helpers import (
     all_graphs_on,
     is_connected,
+    oracle_blocks,
     oracle_minimum_k,
     permute_graph,
     random_graph,
@@ -153,11 +155,26 @@ class TestDecideLabellable:
         verdict = decide_labellable(Graph.from_edges(5, edges), BUDGET)
         assert verdict.status == UNLABELLABLE
 
-    def test_tree_labelled_by_pendant_reversal(self):
+    def test_tree_labelled_with_its_largest_degree(self):
         tree = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (4, 6)])
         verdict = decide_labellable(tree, BUDGET)
-        assert verdict.status == LABELLABLE
+        assert verdict.status == LABELLABLE and verdict.labelling.k == 3
         assert is_valid_labelling(tree, verdict.labelling)
+
+    def test_random_trees_get_their_largest_degree(self):
+        # gluing the bridges one by one gives a tree k equal to its largest
+        # degree, which is least: a vertex's non-adjacent neighbours swap out
+        # distinct symbols of its label
+        rng = random.Random(26)
+        for _ in range(200):
+            n = rng.randint(2, 60)
+            perm = rng.sample(range(n), n)
+            edges = [(perm[v], perm[rng.randrange(v)]) for v in range(1, n)]
+            tree = Graph.from_edges(n, edges)
+            verdict = decide_labellable(tree)
+            assert verdict.status == LABELLABLE, edges
+            assert verdict.labelling.k == max(map(tree.degree, range(n))), edges
+            assert is_valid_labelling(tree, verdict.labelling)
 
     def test_unicyclic_graph(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (1, 5)])
@@ -202,7 +219,8 @@ class TestDecideLabellable:
 
     def test_random_graph_verdicts_pinned(self):
         # 300 seeded sparse graphs on 1..9 vertices, with isolated vertices,
-        # pendants and several components, under the default budget
+        # bridges, cut vertices and several components, under the default
+        # budget
         rng = random.Random(9)
         graphs = [random_graph(rng, rng.randint(1, 9), 0.3) for _ in range(300)]
         degrees = [g.degree(v) for g in graphs for v in range(g.n)]
@@ -217,26 +235,33 @@ class TestDecideLabellable:
             labels = None if lab is None else (lab.k, tuple(tuple(sorted(s)) for s in lab.labels))
             rows.append((verdict.status, verdict.k_bound, labels))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "034fc59fcce8b104d980b25d3ec23b650e4e36f4ee4cc021507dd45a47dbc4dd"
+        assert digest == "9242629d62e3dd42050a34a1834e94b94dc366698974c246d6554d10703ab7a8"
 
     def test_every_small_graph_matches_component_oracle(self):
-        # every labelled graph on 1..5 vertices, disconnected ones included,
-        # and each five-vertex one beside an isolated vertex, so that some
-        # disconnected graphs have an unlabellable component: g is
-        # labellable exactly when each component is, and a connected graph
-        # on c vertices with a labelling has one with k <= max(1, c - 1)
-        # (see SearchBudget).  The oracle is memoised by the component's
-        # masks, not by canonical form, so it rests on none of the code it
-        # checks.
+        # every labelled graph on 1..5 vertices, each five-vertex one beside
+        # an isolated vertex, and every six-vertex graph with a cut vertex
+        # or several components, up to isomorphism and in three numberings:
+        # g is labellable exactly when each of its blocks is, and a
+        # connected graph on c vertices with a labelling has one with
+        # k <= max(1, c - 1) (see SearchBudget).  The blocks come from the
+        # brute-force oracle, and the labelling oracle on each is memoised
+        # by its masks, not by canonical form, so it rests on none of the
+        # code it checks.  A 2-connected six-vertex graph is one block,
+        # searched whole; the brute-force oracle takes seconds to exhaust one
+        # (2.2 s for the 6-wheel at k = 5), so the search's own oracle tests
+        # stop at five vertices too.
         graphs = [g for n in range(1, 6) for g in all_graphs_on(n)]
         graphs += [Graph.from_edges(6, g.edges()) for g in all_graphs_on(5)]
+        graphs += _six_vertex_graphs()
         labellable: dict[tuple, bool] = {}
-        disconnected = unlabellable = 0
+        glued = unlabellable = 0
         for g in graphs:
-            comps = connected_components(g)
+            blocks = oracle_blocks(g)
+            if max(map(len, blocks)) == 6:
+                continue
             expected = True
-            for comp in comps:
-                sub = induced_subgraph(g, comp)
+            for block in blocks:
+                sub = induced_subgraph(g, block)
                 key = (sub.n, sub.adj)
                 if key not in labellable:
                     labellable[key] = oracle_minimum_k(sub, max(1, sub.n - 1)) is not None
@@ -245,10 +270,64 @@ class TestDecideLabellable:
             assert verdict.status == (LABELLABLE if expected else UNLABELLABLE), g.edges()
             if expected:
                 assert is_valid_labelling(g, verdict.labelling)
-            elif len(comps) > 1:
-                unlabellable += 1
-            disconnected += len(comps) > 1
-        assert disconnected == 327 + 1024 and unlabellable > 0
+            several = sum(len(block) > 1 for block in blocks) > 1
+            glued += several
+            unlabellable += several and not expected
+        assert glued > 1000 and unlabellable > 0
+
+
+def _graphs_up_to_isomorphism(n: int) -> list[Graph]:
+    """Every graph on n vertices up to isomorphism, some more than once: a
+    connected one, or a connected one beside a graph on the vertices after
+    it."""
+    out = list(enumerate_connected_graphs(n))
+    for i in range(1, n):
+        for first in enumerate_connected_graphs(i):
+            for rest in _graphs_up_to_isomorphism(n - i):
+                shifted = [(u + i, v + i) for u, v in rest.edges()]
+                out.append(Graph.from_edges(n, first.edges() + shifted))
+    return out
+
+
+def _six_vertex_graphs() -> list[Graph]:
+    """Every graph on six vertices up to isomorphism, in its own numbering
+    and in two seeded others."""
+    rng = random.Random(6)
+    return [
+        h
+        for g in _graphs_up_to_isomorphism(6)
+        for h in [g] + [permute_graph(g, rng.sample(range(6), 6)) for _ in range(2)]
+    ]
+
+
+class TestBlocks:
+    @staticmethod
+    def check(g: Graph) -> None:
+        # the blocks are the oracle's, and each shares only its first vertex
+        # with the blocks before it, or none when it starts a component
+        blocks = _blocks(g.adj)
+        expected = oracle_blocks(g)
+        assert len(blocks) == len(expected), g.edges()
+        assert {frozenset(block) for block in blocks} == expected, g.edges()
+        component = {v: i for i, comp in enumerate(connected_components(g)) for v in comp}
+        seen: set[int] = set()
+        for block in blocks:
+            starts = not any(component[v] == component[block[0]] for v in seen)
+            assert seen & set(block) == (set() if starts else {block[0]}), g.edges()
+            seen |= set(block)
+
+    def test_every_small_graph_matches_oracle(self):
+        for g in [g for n in range(1, 6) for g in all_graphs_on(n)] + _six_vertex_graphs():
+            self.check(g)
+
+    def test_random_graphs_match_oracle(self):
+        rng = random.Random(10)
+        for _ in range(150):
+            self.check(random_graph(rng, rng.randint(7, 10), rng.choice([0.15, 0.25, 0.4])))
+
+    def test_deep_graph_needs_no_recursion(self):
+        blocks = _blocks(make_family("path", 3000).adj)
+        assert blocks == [[v, v + 1] for v in range(2999)]
 
 
 class TestMinimality:

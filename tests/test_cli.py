@@ -296,6 +296,9 @@ class TestFamily:
 
 MIXED_BATCH = ["GwCGg?", "B?", "F]o?G", "Gh?GW[", "Dhc", "IJ??GC@@G"]
 FOREST_BATCH = ["HhCGGC@", "Esa?", "IiC?GCA??", "HxCI??@", "Gl?GWC", "E???"]
+# blocks glued at a shared cut vertex: the bowtie, a windmill of three
+# triangles, a C4 and a triangle sharing a vertex, and the claw
+GLUED_BATCH = ["D{c", "F{eCG", "ElaG", "Cs"]
 # hypercube(5), relabelled: gamma 7 and 320 minimum sets
 CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G?GX?@IAA?GPADG???o"
 
@@ -303,26 +306,30 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["classify", "--max-n", "7"], "1f66ef222cd612c9013e7daa8a3fb5a30f2194d2fd4db0f8aaa6b0c893e85357"),
+        (["classify", "--max-n", "7"], "dbe7c582f92910fa0ca19ff906144dc962d1ac4dfd306951ad660c115b75a56b"),
         (
             ["classify", "--max-n", "7", "--node-limit", "1000"],
-            "48127399bdf4a3d771b44f498cdcaceaf86035370c19ab3763c955a7a0ec32f6",
+            "680f94cbe60e339877e40f11c7ff30b16c0f5894b4ad9af2643933a86d43d6cd",
         ),
         (
             ["classify", "--max-n", "7", "--k-max", "3"],
-            "707276f11ba0317d154f9758d75b3ff83f212b80f72b7df733cfe9886bb4890f",
+            "2fb16a60c0a81a8a262b21254898fb1ac937d30e81dcd0490d3a2cb6bdd81162",
         ),
         (
             ["classify", "--in", "mixed.g6"],
-            "fdbec8534f018d5ac2ca0fc201e37c1b65db78fa6e164fe37b83bda3f8899923",
+            "1f2d3f84d42a55b94bfa84862abc106e11f31aabef11791f25dfc92ef5ed01ac",
         ),
         (
             ["classify", "--in", "forests.g6"],
-            "e9b3374e614bba316f81d893d4abaeabffcc3d2bb38a3d62905002e7e7f57826",
+            "71fa70f4fb586c729c1e9284442f40ac934e19402060492e7472269982839c09",
         ),
         (
             ["classify", "--in", "forests.g6", "--k-max", "3"],
-            "7d90e842fc7a57f107bc1bebd8af9405d12d0d6d6caf8dc613f39780dc955d31",
+            "775563a82047debb0a0ad2385d7aa9f18a520550008ca15eaf62cc31c3eeaf96",
+        ),
+        (
+            ["classify", "--in", "glued.g6"],
+            "c61fe640f220f7353d017e1106fbde6141baa20a44501b46777e4c71c6b8deb2",
         ),
         (
             ["gammagraph", "--d", "1", "--graph6", CUBE5_WORD],
@@ -333,12 +340,16 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
             "3cab7e72a30e4c4f134990a041244fd10fdee4891435b4ed02756d7b7dc998b7",
         ),
     ],
-    ids=["max-n-7", "max-n-7-nodes1000", "max-n-7-k3", "mixed", "forests", "forests-k3", "cube5", "demo"],
+    ids=[
+        "max-n-7", "max-n-7-nodes1000", "max-n-7-k3", "mixed", "forests", "forests-k3", "glued",
+        "cube5", "demo",
+    ],
 )
 def test_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
     # the sha256 digests of stdout that CI's console-script smoke test pins
     (tmp_path / "mixed.g6").write_text("".join(w + "\n" for w in MIXED_BATCH))
     (tmp_path / "forests.g6").write_text("".join(w + "\n" for w in FOREST_BATCH))
+    (tmp_path / "glued.g6").write_text("".join(w + "\n" for w in GLUED_BATCH))
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 
@@ -8,10 +7,8 @@ from gammagraphs import (
     Labelling,
     SearchBudget,
     cartesian_product,
-    connected_components,
     are_isomorphic,
     find_labelling,
-    induced_subgraph,
     is_valid_labelling,
     make_family,
     product_labelling,
@@ -20,7 +17,7 @@ from gammagraphs import (
     with_common_symbol,
 )
 from gammagraphs.classify import decide_labellable, enumerate_connected_graphs
-from gammagraphs.labelling import _pendant_elimination, labelling_to_json, outcome_to_json
+from gammagraphs.labelling import labelling_to_json, outcome_to_json
 
 from fixtures import (
     STAR_LABELS,
@@ -29,13 +26,10 @@ from fixtures import (
     seven_vertex_closing,
 )
 from helpers import (
-    all_graphs_on,
     check_induced_path_middles,
     check_triangle_forms,
     middle_label_candidates,
     oracle_minimum_k,
-    oracle_pendant_elimination,
-    random_graph,
 )
 
 
@@ -217,7 +211,7 @@ class TestSearch:
     @pytest.mark.parametrize(
         "family, n, k, labels_digest",
         [
-            ("path", 80, 80, "21f69a94e41db90560f394a470aaeeee491cf91595d78ac23dc2e24f6a15489a"),
+            ("path", 80, 2, "3ede1d01539348343c7162284e742456d1f2baba79b4a10e69a51cddf0d0d28b"),
             ("cycle", 70, 2, "ad25a4a336d3d6f66c25f0da4074e8785e970442490827ea7ab961c2a4b99dae"),
         ],
     )
@@ -354,47 +348,6 @@ class TestProducts:
         bad = Labelling(1, _sets("1", "1"))
         with pytest.raises(ValueError):
             product_labelling(k2, bad, k2, Labelling(1, _sets("1", "2")))
-
-
-class TestPendantReduction:
-    def test_tree_reduces_to_empty(self):
-        tree = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
-        assert induced_subgraph(tree, _pendant_elimination(tree)[0]).n == 0
-
-    def test_triangle_with_pendant(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        reduced = induced_subgraph(g, _pendant_elimination(g)[0])
-        assert reduced.n == 3 and reduced.edge_count == 3
-        assert reduced.names == ("1", "2", "3")
-
-    def test_cycle_is_a_fixed_point(self):
-        c5 = make_family("cycle", 5)
-        assert induced_subgraph(c5, _pendant_elimination(c5)[0]).adj == c5.adj
-
-    def test_elimination_matches_oracle(self):
-        graphs = [g for n in range(6) for g in all_graphs_on(n)]
-        graphs += [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
-        rng = random.Random(31)
-        graphs += [
-            random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.2, 0.35, 0.5]))
-            for _ in range(300)
-        ]
-        for g in graphs:
-            assert _pendant_elimination(g) == oracle_pendant_elimination(g), g.edges()
-
-    def test_connected_log_isolates_only_its_last_vertex(self):
-        # decide_labellable relies on this: the log of a connected graph
-        # names an isolated vertex only as its last entry, when no core
-        # survives
-        graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
-        rng = random.Random(47)
-        for _ in range(1000):
-            g = random_graph(rng, rng.randint(1, 30), rng.choice([0.05, 0.1, 0.2, 0.35]))
-            graphs += [induced_subgraph(g, comp) for comp in connected_components(g)]
-        for g in graphs:
-            survivors, log = _pendant_elimination(g)
-            isolated = [i for i, (_, attach) in enumerate(log) if attach is None]
-            assert isolated == ([] if survivors else [len(log) - 1]), g.edges()
 
 
 class TestClosedForms:
