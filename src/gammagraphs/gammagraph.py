@@ -3,6 +3,7 @@ set, adjacent when the two sets intersect in gamma-1 elements."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,16 +26,16 @@ class GammaGraph:
     d: int
 
 
-def tag_name(source: Graph, tag: frozenset[int]) -> str:
-    """Render a dominating set as a vertex name.
+def tag_names(source: Graph, tags: Iterable[frozenset[int]]) -> tuple[str, ...]:
+    """Render dominating sets as vertex names.
 
     Single-character source names concatenate ("25"); anything longer joins
-    with commas to stay unambiguous.
+    with commas to stay unambiguous.  The separator is decided once for the
+    source graph, so m tags of size gamma cost O(n + m * gamma).
     """
-    names = [source.names[v] for v in sorted(tag)]
-    if all(len(nm) == 1 for nm in source.names):
-        return "".join(names)
-    return ",".join(names)
+    names = source.names
+    sep = "" if all(len(nm) == 1 for nm in names) else ","
+    return tuple(sep.join(names[v] for v in sorted(tag)) for tag in tags)
 
 
 def build_gamma_graph(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) -> GammaGraph:
@@ -63,7 +64,7 @@ def build_gamma_graph(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) ->
         for x in tag:
             buckets.setdefault(mask ^ (1 << x), []).append(i)
     edges = [pair for bucket in buckets.values() for pair in combinations(bucket, 2)]
-    base = Graph.from_edges(len(tags), edges, tuple(tag_name(g, t) for t in tags))
+    base = Graph.from_edges(len(tags), edges, tag_names(g, tags))
     return GammaGraph(base, tags, result.gamma, d)
 
 

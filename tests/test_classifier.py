@@ -117,6 +117,25 @@ class TestEnumeration:
             counts.append(len(calls))
         assert counts == [1354, 1354]
 
+    def test_outranked_children_fail_the_full_test(self):
+        # every connected parent on at most six vertices with every nonempty
+        # neighbourhood: a child that the pre-test rejects has a non-cut
+        # vertex outranking its new vertex
+        pairs = rejected = 0
+        for n in range(1, 7):
+            for parent in enumerate_connected_graphs(n):
+                non_cut = classify_module._non_cut_degrees(parent.adj)
+                for nbrs in range(1, 1 << n):
+                    adj = [m | (nbrs >> u & 1) << n for u, m in enumerate(parent.adj)] + [nbrs]
+                    pairs += 1
+                    if classify_module._outranked(non_cut, nbrs):
+                        rejected += 1
+                        assert not classify_module._largest_non_cut_vertex_is_last(adj), (
+                            write_graph6(parent), nbrs,
+                        )
+        # the full test rejects 6117 of the pairs
+        assert pairs == 7815 and rejected == 5128
+
     def test_connected_deletions_match_induced_subgraphs(self):
         rng = random.Random(5)
         graphs = [make_family("path", 6), make_family("complete_bipartite", 1, 5)]
@@ -206,6 +225,43 @@ class TestDecideLabellable:
         )
         assert verdict.status == UNDECIDED
 
+    @pytest.mark.parametrize("wheel_first", [True, False], ids=["wheel-first", "k23-first"])
+    def test_exhausted_block_does_not_hide_an_absent_one(self, wheel_first):
+        # the 9-wheel's search runs out of 300 nodes; K_{2,3}'s ends absent
+        # in 182, in either order of the components
+        wheel, k23 = make_family("wheel", 9), make_family("complete_bipartite", 2, 3)
+        budget = SearchBudget(node_limit=300)
+        first, second = (wheel, k23) if wheel_first else (k23, wheel)
+        g = _beside(first, second)
+        assert decide_labellable(g, budget).status == UNLABELLABLE
+        # with no block shown to have no labelling, the exhausted one decides
+        assert decide_labellable(_beside(wheel, make_family("cycle", 4)), budget).status == UNDECIDED
+
+    def test_searches_memo_replays_every_outcome(self, monkeypatch):
+        # a proper block whose masks the memo holds is not searched again,
+        # and its verdict, labelling or exhaustion stays what the search gave
+        wheel, c4, c5 = make_family("wheel", 9), make_family("cycle", 4), make_family("cycle", 5)
+        graphs = [_beside(wheel, c4), _beside(c4, wheel), _beside(c4, c5), _beside(c5, c4)]
+        budget = SearchBudget(node_limit=300)
+        searched = []
+        real = classify_module.find_labelling
+
+        def spy(g, budget=None):
+            searched.append(g.adj)
+            return real(g, budget)
+
+        monkeypatch.setattr(classify_module, "find_labelling", spy)
+        fresh = [decide_labellable(g, budget) for g in graphs]
+        assert len(searched) == 8
+        searched.clear()
+        memo = {}
+        assert [decide_labellable(g, budget, memo) for g in graphs] == fresh
+        assert len(searched) == len(set(searched)) == len(memo) == 3
+        assert [v.status for v in fresh] == [UNDECIDED, UNDECIDED, LABELLABLE, LABELLABLE]
+        # a graph that is one block is searched whole and not kept
+        assert decide_labellable(c4, budget, memo) == decide_labellable(c4, budget)
+        assert len(searched) == 5 and len(memo) == 3
+
     def test_known_labellable_families(self):
         cases = [("complete", (n,)) for n in range(1, 7)]
         cases += [("cycle", (n,)) for n in range(3, 9)]
@@ -274,6 +330,12 @@ class TestDecideLabellable:
             glued += several
             unlabellable += several and not expected
         assert glued > 1000 and unlabellable > 0
+
+
+def _beside(first: Graph, second: Graph) -> Graph:
+    """The disjoint union of two graphs, first's vertices numbered first."""
+    shifted = [(u + first.n, v + first.n) for u, v in second.edges()]
+    return Graph.from_edges(first.n + second.n, first.edges() + shifted)
 
 
 def _graphs_up_to_isomorphism(n: int) -> list[Graph]:
@@ -348,8 +410,8 @@ class TestMinimality:
         wheel = make_family("wheel", 6)
         real = classify_module.decide_labellable
 
-        def five_vertex_searches_run_out(g, budget=None):
-            return Verdict(UNDECIDED, 5) if g.n == 5 else real(g, budget)
+        def five_vertex_searches_run_out(g, budget=None, searches=None):
+            return Verdict(UNDECIDED, 5) if g.n == 5 else real(g, budget, searches)
 
         monkeypatch.setattr(classify_module, "decide_labellable", five_vertex_searches_run_out)
         assert is_minimally_unlabellable(wheel, BUDGET).status == UNDECIDED
@@ -538,9 +600,9 @@ class TestShortCircuit:
         searched = []
         real = classify_module.decide_labellable
 
-        def spy(g, budget=None):
+        def spy(g, budget=None, searches=None):
             searched.append(g)
-            return real(g, budget)
+            return real(g, budget, searches)
 
         monkeypatch.setattr(classify_module, "decide_labellable", spy)
         report = classify([fan, y_graph], BUDGET)
@@ -583,13 +645,41 @@ class TestClassifyConnected:
     def test_undecided_deletion_leaves_minimality_undecided(self, monkeypatch):
         real = classify_module.decide_labellable
 
-        def five_vertex_searches_run_out(g, budget=None):
-            return Verdict(UNDECIDED, 5) if g.n == 5 else real(g, budget)
+        def five_vertex_searches_run_out(g, budget=None, searches=None):
+            return Verdict(UNDECIDED, 5) if g.n == 5 else real(g, budget, searches)
 
         monkeypatch.setattr(classify_module, "decide_labellable", five_vertex_searches_run_out)
         got = classify_connected(6, BUDGET)
         assert got.verdicts[canonical_form(make_family("wheel", 6)).decode()].status == UNDECIDED
         assert got == classify([g for n in range(1, 7) for g in enumerate_connected_graphs(n)], BUDGET)
+
+    def test_work_counted(self, monkeypatch):
+        # 425 decisions make 198 searches of 176 distinct blocks, each
+        # proper block once per run (333 searches without the memo); the
+        # enumeration's pre-test leaves 2019 children for the full
+        # canonical-deletion test (5299 without it)
+        searches, deletion_tests = [], []
+        real_search = classify_module.find_labelling
+        real_test = classify_module._largest_non_cut_vertex_is_last
+
+        def counting_search(g, budget=None):
+            searches.append(g.adj)
+            return real_search(g, budget)
+
+        def counting_test(adj):
+            deletion_tests.append(len(adj))
+            return real_test(adj)
+
+        monkeypatch.setattr(classify_module, "find_labelling", counting_search)
+        monkeypatch.setattr(classify_module, "_largest_non_cut_vertex_is_last", counting_test)
+        for _ in range(2):
+            searches.clear()
+            deletion_tests.clear()
+            classify_module._connected_words.cache_clear()
+            report = classify_connected(7)
+            assert report.count(LABELLABLE) + report.count(MINIMALLY_UNLABELLABLE) == 425
+            assert len(searches) == 198 and len(set(searches)) == 176
+            assert len(deletion_tests) == 2019
 
     def test_no_deletion_is_read_without_an_undecided_class(self, monkeypatch):
         def forbidden(adj):

@@ -312,6 +312,14 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
             "680f94cbe60e339877e40f11c7ff30b16c0f5894b4ad9af2643933a86d43d6cd",
         ),
         (
+            ["classify", "--max-n", "7", "--node-limit", "200"],
+            "b6eee9ea2fe45d16df0f7d079005fe0eaf89d3d8500c138c9a44d5d441a00b36",
+        ),
+        (
+            ["classify", "--max-n", "7", "--node-limit", "60"],
+            "39f246f4932cc7151b270af062557d5558059bcb2256338a949ef15b64870755",
+        ),
+        (
             ["classify", "--max-n", "7", "--k-max", "3"],
             "2fb16a60c0a81a8a262b21254898fb1ac937d30e81dcd0490d3a2cb6bdd81162",
         ),
@@ -341,8 +349,8 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
         ),
     ],
     ids=[
-        "max-n-7", "max-n-7-nodes1000", "max-n-7-k3", "mixed", "forests", "forests-k3", "glued",
-        "cube5", "demo",
+        "max-n-7", "max-n-7-nodes1000", "max-n-7-nodes200", "max-n-7-nodes60", "max-n-7-k3",
+        "mixed", "forests", "forests-k3", "glued", "cube5", "demo",
     ],
 )
 def test_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):

@@ -10,7 +10,7 @@ from gammagraphs import (
     make_family,
     min_dominating_sets,
 )
-from gammagraphs.gammagraph import gamma_graph_to_json, tag_name
+from gammagraphs.gammagraph import gamma_graph_to_json, tag_names
 from gammagraphs.classify import enumerate_connected_graphs
 
 from fixtures import (
@@ -112,13 +112,21 @@ class TestEdgesAgainstOracle:
 class TestNaming:
     def test_single_character_names_concatenate(self):
         g = domination_demo_graph()
-        assert tag_name(g, frozenset({1, 4})) == "25"
+        assert tag_names(g, [frozenset({1, 4})]) == ("25",)
 
     def test_multi_character_names_join_with_commas(self):
         p11 = make_family("path", 11)
         gg = build_gamma_graph(p11, 2)
         assert all("," in name for name in gg.base.names if len(name) > 2)
-        assert tag_name(p11, frozenset({0, 10})) == "1,11"
+        assert tag_names(p11, [frozenset({0, 10})]) == ("1,11",)
+
+    def test_one_separator_per_source_graph(self):
+        # one multi-character name makes every tag join with commas, even a
+        # tag of single-character names
+        p11 = make_family("path", 11)
+        tags = [frozenset({0, 1}), frozenset({2, 10}), frozenset({9})]
+        assert tag_names(p11, tags) == ("1,2", "3,11", "10")
+        assert tag_names(domination_demo_graph(), tags[:1]) == ("12",)
 
 
 def test_json_document():
