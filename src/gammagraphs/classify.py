@@ -18,14 +18,15 @@ subgraph is connected (a component of a disconnected unlabellable graph is
 already unlabellable) and self-witnessed (a witness of its own would be
 smaller still).  Two rules find the witness.
 
-Nor does a run search a block of a larger graph twice.  Its rule
-(`_Contained` or `_Records`) owns a memo of those labelling searches
-(`Searches`), keyed by a block's exact neighbour masks, and it is dropped
-with the rule.  A block met again, in the same numbering, replays its first
-outcome: the search is deterministic in those masks and the budget, and a
-run has one budget, so no labelling, verdict or node-limit outcome moves.
-At n <= 7 the walk's 425 decisions make 198 searches of 176 distinct
-blocks, where a search per block per decision would make 333.
+Nor does a walk search a block of a larger graph twice.  Its rule
+(`_Contained`) owns a memo of those labelling searches (`Searches`), keyed
+by the budget and a block's exact neighbour masks, and it is dropped with
+the rule.  A block met again, in the same numbering, replays its first
+outcome: the search is deterministic in that key, so no labelling, verdict
+or node-limit outcome moves.  At n <= 7 the walk's 425 decisions make 198
+searches of 176 distinct blocks, where a search per block per decision
+would make 333.  A batch (`_Records`) keeps no memo: how often its blocks
+repeat depends on the input, and no measured batch shows the memory paying.
 
 - **Containment, for `classify_connected` (the CLI's `--max-n`).**  The walk
   settles every connected graph on 1..max_n vertices in graph6 order, whose
@@ -343,14 +344,14 @@ def _blocks(adj: Sequence[int]) -> list[list[int]]:
     return [block for _, block in sorted(found)]
 
 
-# A run's memo of labelling searches: the outcome of each proper block
-# searched, keyed by the block's neighbour masks.  `find_labelling` is
-# deterministic in its input's masks and the budget, and a run has one budget.
+# A walk's memo of labelling searches: the outcome of each proper block
+# searched, keyed by the budget and the block's neighbour masks, the whole of
+# what `find_labelling`'s outcome depends on.
 # A graph that is one block is searched without the memo: a walk meets each
 # class once, and at n <= 7 keeping those outcomes, 89 of them on 7 vertices
 # and never met again, raised the walk's peak traced memory from 2.50 to
 # 2.69 MB to save 22 small searches.
-Searches = dict[tuple[int, ...], SearchOutcome]
+Searches = dict[tuple[SearchBudget, tuple[int, ...]], SearchOutcome]
 
 
 def decide_labellable(
@@ -366,8 +367,9 @@ def decide_labellable(
     block, a hereditary property; gluing may grow k past it (the claw gets 3
     at k_max 2).
 
-    `_searches` is a run's memo of block searches (see `Searches`): a proper
-    block whose neighbour masks it holds is not searched again.
+    `_searches` is a walk's memo of block searches (see `Searches`): a
+    proper block searched under this budget with these neighbour masks is
+    not searched again.
 
     A graph is labellable exactly when each of its blocks is.  Only if: by
     heredity.  If: glue the blocks in order onto the part P labelled so far.
@@ -398,9 +400,10 @@ def decide_labellable(
             outcome = find_labelling(g, budget)
         else:
             sub = induced_subgraph(g, block)
-            outcome = searches.get(sub.adj)
+            key = (budget, sub.adj)
+            outcome = searches.get(key)
             if outcome is None:
-                outcome = searches[sub.adj] = find_labelling(sub, budget)
+                outcome = searches[key] = find_labelling(sub, budget)
         if outcome.status == "absent_up_to_k":
             return Verdict(UNLABELLABLE, k_bound)
         if outcome:
@@ -461,8 +464,6 @@ class _Records:
     symmetric inputs they cost far more than the search (on a 2-vCPU host
     the 14-cycle's form takes about 1 s, its labelling under a millisecond).
 
-    `searches` is the run's memo of block searches (see `Searches`).
-
     A batch is not settled by containment, as `classify_connected` settles
     its walk: on batches of 10-12-vertex graphs that was 1.8-3.4x slower, and
     it settles a class from whichever of its members comes first, which
@@ -471,7 +472,6 @@ class _Records:
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
-        self.searches: Searches = {}
         self.by_form: dict[bytes, Record] = {}
         self.orders: set[int] = set()  # vertex counts of the kept and settled classes
         self._unfiled: dict[int, list[tuple[Graph, Record]]] = {}
@@ -505,7 +505,7 @@ class _Records:
         """
         own = None
         if g.n - 1 not in self.orders:
-            own = decide_labellable(g, self.budget, self.searches)
+            own = decide_labellable(g, self.budget)
             if own.status == LABELLABLE:
                 return (LABELLABLE, None), own, []
         parts = [self.lookup(sub) for sub in _parts(g)]
@@ -513,7 +513,7 @@ class _Records:
         if witness is not None:
             return (UNLABELLABLE, witness), own, parts
         if own is None:
-            own = decide_labellable(g, self.budget, self.searches)
+            own = decide_labellable(g, self.budget)
         if own.status == UNLABELLABLE:
             witness = canonical_form(g)
         return (own.status, witness), own, parts
@@ -614,7 +614,7 @@ class _Contained:
     A class is *self-witnessed* when it was searched, found unlabellable, and
     has no smaller witness; its form joins the table.  Undecided classes,
     whose own search ran out of nodes with no witness found, are kept by
-    form and vertex count.  `searches` is the run's memo of block searches
+    form and vertex count.  `searches` is the walk's memo of block searches
     (see `Searches`).
     """
 

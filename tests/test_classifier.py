@@ -261,6 +261,12 @@ class TestDecideLabellable:
         # a graph that is one block is searched whole and not kept
         assert decide_labellable(c4, budget, memo) == decide_labellable(c4, budget)
         assert len(searched) == 5 and len(memo) == 3
+        # under another budget the memo replays nothing: the wheel, out of
+        # nodes at 300, is searched again and labelled
+        wide = SearchBudget()
+        assert decide_labellable(graphs[0], wide, memo) == decide_labellable(graphs[0], wide)
+        assert decide_labellable(graphs[0], wide, memo).status == LABELLABLE
+        assert len(searched) == 9 and len(memo) == 5
 
     def test_known_labellable_families(self):
         cases = [("complete", (n,)) for n in range(1, 7)]

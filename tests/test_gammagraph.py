@@ -118,15 +118,10 @@ class TestNaming:
         p11 = make_family("path", 11)
         gg = build_gamma_graph(p11, 2)
         assert all("," in name for name in gg.base.names if len(name) > 2)
-        assert tag_names(p11, [frozenset({0, 10})]) == ("1,11",)
-
-    def test_one_separator_per_source_graph(self):
         # one multi-character name makes every tag join with commas, even a
         # tag of single-character names
-        p11 = make_family("path", 11)
         tags = [frozenset({0, 1}), frozenset({2, 10}), frozenset({9})]
         assert tag_names(p11, tags) == ("1,2", "3,11", "10")
-        assert tag_names(domination_demo_graph(), tags[:1]) == ("12",)
 
 
 def test_json_document():
