@@ -67,8 +67,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 from .errors import UnsupportedSizeError
 from .graphs import (
@@ -101,34 +101,38 @@ UNDECIDED = "undecided"
 ENUMERATION_MAX_VERTICES = 7
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status k_bound labelling witness witness_form")):
     """Per-graph outcome; k_bound is the k_max the verdict is relative to.
     Each block is searched up to it, and gluing the blocks can grow k, so a
     labellable verdict's labelling may have a larger k (see
     `decide_labellable`).  A nonminimal verdict's witness is a vertex tuple,
     and witness_form the canonical form of the subgraph it induces."""
 
-    status: str
-    k_bound: int
-    labelling: Labelling | None = None
-    witness: tuple[int, ...] | None = None
-    witness_form: bytes | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status == LABELLABLE and self.labelling is None:
+    def __new__(
+        cls,
+        status: str,
+        k_bound: int,
+        labelling: Labelling | None = None,
+        witness: tuple[int, ...] | None = None,
+        witness_form: bytes | None = None,
+    ):
+        if status == LABELLABLE and labelling is None:
             raise ValueError("labellable verdicts must carry a labelling")
-        if self.status == UNLABELLABLE_NONMINIMAL and (
-            self.witness is None or self.witness_form is None
-        ):
+        if status == UNLABELLABLE_NONMINIMAL and (witness is None or witness_form is None):
             raise ValueError("nonminimal verdicts must carry a witness and its form")
+        return super().__new__(cls, status, k_bound, labelling, witness, witness_form)
+
+    # namedtuple's _make, and so _replace, would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    params: dict
-    verdicts: dict[str, Verdict]  # keyed by graph6, iteration order sorted
-    counts: dict[str, int]
+class ClassificationReport(namedtuple("ClassificationReport", "params verdicts counts")):
+    """The run's parameters, the verdicts keyed by graph6 (iteration order
+    sorted), and the count of each status."""
+
+    __slots__ = ()
 
     def count(self, status: str) -> int:
         return self.counts.get(status, 0)
@@ -384,6 +388,13 @@ def decide_labellable(
     swap out different symbols (had they swapped the same, they would meet
     in k - 1).  So a tree gets k equal to its largest degree, the least, as
     a vertex's non-adjacent neighbours swap out distinct symbols.
+
+    A graph that is one non-complete block gets its search's labelling as it
+    is.  Gluing would start a component with it: no padding, as k stays k_B,
+    and its symbols renamed in increasing order onto 1, 2, ...  The
+    normalised search uses exactly the symbols 1..m (the first label is
+    {1..k}, and a new symbol is the smallest unused), so that renaming is
+    the identity.
     """
     budget = budget or SearchBudget()
     k_bound = budget.k_bound(g)
@@ -396,8 +407,10 @@ def decide_labellable(
         if all((g.adj[w] | 1 << w) & mask == mask for w in block):
             found.append((1, {w: {i} for i, w in enumerate(block, 1)}))
             continue
-        if len(block) == g.n:
+        if len(block) == g.n:  # g is one block: no gluing (see above)
             outcome = find_labelling(g, budget)
+            if outcome:
+                return _labellable(g, k_bound, outcome.labelling)
         else:
             sub = induced_subgraph(g, block)
             key = (budget, sub.adj)
@@ -412,6 +425,20 @@ def decide_labellable(
             exhausted = True
     if exhausted:
         return Verdict(UNDECIDED, k_bound)
+    return _labellable(g, k_bound, _glue(g, blocks, found))
+
+
+def _labellable(g: Graph, k_bound: int, labelling: Labelling) -> Verdict:
+    check = is_valid_labelling(g, labelling)
+    assert check, f"labelling of a labellable verdict invalid: {check.reason}"
+    return Verdict(LABELLABLE, k_bound, labelling)
+
+
+def _glue(
+    g: Graph, blocks: list[list[int]], found: list[tuple[int, dict[int, set[int]]]]
+) -> Labelling:
+    """The labelling of g glued from each block's (k, labels by vertex) in
+    `found`, block by block in `_blocks` order (see `decide_labellable`)."""
     labels: list[tuple[set[int], int] | None] = [None] * g.n  # (symbols, len(common) when placed)
     common: list[int] = []  # P's padding: a label also holds the symbols added after it was placed
     def full(u: int) -> set[int]:
@@ -438,10 +465,7 @@ def decide_labellable(
                 labels[w] = ({rename[sym] for sym in own[w]}.union(pads), len(common))
         a_p.update(rename[sym] for sym in a_b)
         k = k_new
-    combined = Labelling(max(k, 1), tuple(map(full, range(g.n))))
-    check = is_valid_labelling(g, combined)
-    assert check, f"reconstructed labelling invalid: {check.reason}"
-    return Verdict(LABELLABLE, k_bound, combined)
+    return Labelling(max(k, 1), tuple(map(full, range(g.n))))
 
 
 # A class's record: its own status, and the least canonical form among its

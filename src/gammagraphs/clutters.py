@@ -4,36 +4,36 @@ search that checks minimality as it extends a set (see `blocker`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _sort_key(member: frozenset[int]):
     return (len(member), tuple(sorted(member)))
 
 
-@dataclass(frozen=True)
-class Clutter:
+class Clutter(namedtuple("Clutter", "ground_size members")):
     """An antichain over the ground set {1..ground_size}.
 
     Members are stored sorted by size then lexicographically.  The empty set
     may appear only as the sole member.
     """
 
-    ground_size: int
-    members: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ground_size < 0:
+    def __new__(cls, ground_size: int, members):
+        if ground_size < 0:
             raise ValueError("ground size must be non-negative")
-        object.__setattr__(
-            self, "members", tuple(sorted((frozenset(m) for m in self.members), key=_sort_key))
-        )
+        members = tuple(sorted((frozenset(m) for m in members), key=_sort_key))
         seen = set()
-        for m in self.members:
+        for m in members:
             if m in seen:
                 raise ValueError(f"duplicate member {sorted(m)}")
             seen.add(m)
-        _check_antichain(self.ground_size, self.members)
+        _check_antichain(ground_size, members)
+        return super().__new__(cls, ground_size, members)
+
+    # namedtuple's _make, and so _replace, would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def member_sets(self) -> set[frozenset[int]]:
         return set(self.members)

@@ -46,19 +46,16 @@ against the node limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
 from .graphs import Graph, _neighbour_lists
 
 
-@dataclass(frozen=True)
-class DominationResult:
+class DominationResult(namedtuple("DominationResult", "d gamma min_sets")):
     """d, the domination number gamma, and all minimum sets (vertex indices)."""
 
-    d: int
-    gamma: int
-    min_sets: tuple[frozenset[int], ...]
+    __slots__ = ()
 
 
 def distance_balls(g: Graph, d: int) -> list[int]:

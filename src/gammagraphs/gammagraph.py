@@ -3,8 +3,8 @@ set, adjacent when the two sets intersect in gamma-1 elements."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
 
 from .domination import min_dominating_sets
@@ -12,18 +12,14 @@ from .errors import DEFAULT_NODE_LIMIT
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class GammaGraph:
+class GammaGraph(namedtuple("GammaGraph", "base tags gamma d")):
     """`base` carries the rendered set names; `tags` the underlying sets.
 
     tags[i] is the minimum dominating set (source vertex indices) naming
     base vertex i; all tags have size `gamma`.
     """
 
-    base: Graph
-    tags: tuple[frozenset[int], ...]
-    gamma: int
-    d: int
+    __slots__ = ()
 
 
 def tag_names(source: Graph, tags: Iterable[frozenset[int]]) -> tuple[str, ...]:

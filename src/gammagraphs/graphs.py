@@ -10,9 +10,8 @@ which keeps set operations cheap throughout the package.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GraphFormatError, UnsupportedSizeError
 
@@ -66,23 +65,24 @@ def _raise_first_invalid_mask(n: int, adj: tuple[int, ...]) -> None:
                 raise ValueError(f"adjacency is not symmetric at ({v},{u})")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n adj names")):
     """A finite simple undirected graph (no loops, no multi-edges)."""
 
-    n: int
-    adj: tuple[int, ...]
-    names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, adj: tuple[int, ...], names: tuple[str, ...]):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n or len(self.names) != self.n:
+        if len(adj) != n or len(names) != n:
             raise ValueError("adjacency and name tuples must have length n")
-        if len(set(self.names)) != self.n:
+        if len(set(names)) != n:
             raise ValueError("vertex names must be pairwise distinct")
-        if not _masks_valid(self.n, self.adj):
-            _raise_first_invalid_mask(self.n, self.adj)
+        if not _masks_valid(n, adj):
+            _raise_first_invalid_mask(n, adj)
+        return super().__new__(cls, n, adj, names)
+
+    # namedtuple's _make, and so _replace, would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @staticmethod
     def from_edges(n: int, edges, names: tuple[str, ...] | None = None) -> "Graph":
@@ -493,7 +493,8 @@ def make_family(name: str, *params: int) -> Graph:
     }
     if key not in builders:
         raise ValueError(f"unknown family {name!r}; known: {sorted(builders)}")
-    expected = list(inspect.signature(builders[key]).parameters)
+    code = builders[key].__code__
+    expected = code.co_varnames[: code.co_argcount]
     if len(params) != len(expected):
         raise ValueError(
             f"family {name!r} takes {len(expected)} parameter(s) ({', '.join(expected)}), "

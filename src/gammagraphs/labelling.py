@@ -12,38 +12,39 @@ verdicts are complete for each k up to the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
 from .graphs import Graph, cartesian_product
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(namedtuple("Labelling", "k labels")):
     """A size-k label per vertex, aligned with the graph's vertex indices.
 
     Symbols are positive integers.  Structural validity (distinctness and the
     adjacency biconditional) is checked by is_valid_labelling, not here.
     """
 
-    k: int
-    labels: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int, labels):
+        if k < 1:
             raise ValueError("label size k must be >= 1")
-        object.__setattr__(self, "labels", tuple(frozenset(s) for s in self.labels))
-        for s in self.labels:
+        labels = tuple(frozenset(s) for s in labels)
+        for s in labels:
             for sym in s:
                 if not isinstance(sym, int) or sym < 1:
                     raise ValueError(f"symbols must be positive integers, got {sym!r}")
+        return super().__new__(cls, k, labels)
+
+    # namedtuple's _make, and so _replace, would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def max_symbol(self) -> int:
         return max((max(s) for s in self.labels if s), default=0)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "k_max node_limit")):
     """Bounds for the labelling search.
 
     k_max=None resolves to max(2, vertex count); node_limit counts candidate
@@ -69,26 +70,29 @@ class SearchBudget:
       default never cuts a connected search short.
     """
 
-    k_max: int | None = None
-    node_limit: int = DEFAULT_NODE_LIMIT
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k_max is not None and self.k_max < 1:
+    def __new__(cls, k_max: int | None = None, node_limit: int = DEFAULT_NODE_LIMIT):
+        if k_max is not None and k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.node_limit < 1:
+        if node_limit < 1:
             raise ValueError("node_limit must be >= 1")
+        return super().__new__(cls, k_max, node_limit)
+
+    # namedtuple's _make, and so _replace, would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def k_bound(self, g: Graph) -> int:
         """The largest label size searched on g."""
         return self.k_max if self.k_max is not None else max(2, g.n)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: str | None = None
-    pair: tuple[str, str] | None = None
-    intersection: int | None = None
+class ValidationResult(namedtuple("ValidationResult", "ok reason pair intersection",
+                                  defaults=(None, None, None))):
+    """ok, and for a failure its reason, the offending pair of vertex names
+    and their intersection size."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -134,18 +138,15 @@ def is_valid_labelling(g: Graph, lab: Labelling) -> ValidationResult:
     return ValidationResult(True)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(namedtuple("SearchOutcome", "status labelling k nodes")):
     """status: "found" | "absent_up_to_k" | "budget_exhausted".
 
-    k is the found label size, the exhausted bound, or the frontier k when
-    the node budget ran out; nodes counts candidate labels tested.
+    labelling is the found Labelling or None; k is the found label size, the
+    exhausted bound, or the frontier k when the node budget ran out; nodes
+    counts candidate labels tested.
     """
 
-    status: str
-    labelling: Labelling | None
-    k: int
-    nodes: int
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.status == "found"

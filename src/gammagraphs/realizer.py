@@ -18,31 +18,24 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clutters import Clutter, blocker, validate_clutter
 from .domination import min_dominating_sets
 from .graphs import GRAPH6_MAX_VERTICES, Graph, write_graph6
 
 
-@dataclass(frozen=True)
-class GadgetPair:
+class GadgetPair(namedtuple("GadgetPair", "member x y x_path y_path")):
     """The two attachment vertices and their pendant paths for one blocker member."""
 
-    member: frozenset[int]
-    x: str
-    y: str
-    x_path: tuple[str, ...]
-    y_path: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RealizedGraph:
-    graph: Graph
-    core_size: int
-    d: int
-    gadgets: tuple[GadgetPair, ...]
-    relabelling: tuple[tuple[int, int], ...]  # (original symbol, core symbol) pairs
+class RealizedGraph(namedtuple("RealizedGraph", "graph core_size d gadgets relabelling")):
+    """The realizing graph, its core size, d, one gadget pair per blocker
+    member, and the (original symbol, core symbol) pairs."""
+
+    __slots__ = ()
 
     def core_symbol_to_original(self) -> dict[int, int]:
         return {new: old for old, new in self.relabelling}
@@ -153,12 +146,11 @@ def prior_construction_size(family: Clutter) -> tuple[int, int]:
     return vertices, edges
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    gamma: int
-    missing: tuple[tuple[int, ...], ...]  # expected sets never enumerated (original symbols)
-    extra: tuple[tuple[str, ...], ...]  # enumerated sets outside the family (vertex names)
+class VerificationReport(namedtuple("VerificationReport", "ok gamma missing extra")):
+    """missing: expected sets never enumerated (original symbols); extra:
+    enumerated sets outside the family (vertex names)."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

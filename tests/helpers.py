@@ -171,20 +171,41 @@ def oracle_labelling_exists(g: Graph, k: int) -> bool:
     """Brute-force: try every assignment of k-subsets of a (k+n-1)-symbol
     universe, filtering partial assignments pairwise.
 
-    Vertex 0 gets {1..k} only: a permutation of the universe carries any
-    assignment inside it to one that gives vertex 0 that label and is valid
-    iff the original is, so the answer is unchanged.
+    The vertices are taken in breadth-first order, and a vertex with an
+    earlier neighbour draws its candidates only from the k-subsets that meet
+    that neighbour's label in k-1 symbols; any other candidate fails the
+    pairwise filter, so this applies the adjacency condition earlier and
+    changes no answer.
+
+    The first vertex gets {1..k} only, and the second, when it is the
+    first's neighbour, {1..k-1, k+1} only: the first candidates in
+    lexicographic order.  A permutation of the universe carries any
+    assignment inside it to one that gives the first vertex {1..k} and is
+    valid iff the original is; the second label then drops one symbol a of
+    {1..k} and adds one symbol b outside it, and the transpositions (a k)
+    and (b k+1) fix {1..k} and carry it to {1..k-1, k+1}.  So the answer is
+    unchanged.
     """
     labels = [frozenset(c) for c in itertools.combinations(range(1, k + g.n), k)]
+    order: list[int] = []  # breadth first, each component from its lowest vertex
+    for root in range(g.n):
+        if root not in order:
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                order += [u for u in g.neighbors(order[head]) if u not in order]
+                head += 1
     assign: list[frozenset[int] | None] = [None] * g.n
+    near: dict[frozenset[int], list[frozenset[int]]] = {}  # the labels meeting a label in k-1
 
     def consistent(i: int, cand: frozenset[int]) -> bool:
-        for j in range(i):
-            other = assign[j]
+        v = order[i]
+        for u in order[:i]:
+            other = assign[u]
             if cand == other:
                 return False
             inter = len(cand & other)
-            if g.has_edge(i, j):
+            if g.has_edge(v, u):
                 if inter != k - 1:
                     return False
             elif inter == k - 1:
@@ -194,12 +215,20 @@ def oracle_labelling_exists(g: Graph, k: int) -> bool:
     def rec(i: int) -> bool:
         if i == g.n:
             return True
-        for cand in labels if i else labels[:1]:
+        v = order[i]
+        placed = [assign[u] for u in g.neighbors(v) if assign[u] is not None]
+        if placed:
+            if placed[0] not in near:
+                near[placed[0]] = [c for c in labels if len(c & placed[0]) == k - 1]
+            cands = near[placed[0]] if i > 1 else near[placed[0]][:1]
+        else:
+            cands = labels if i else labels[:1]
+        for cand in cands:
             if consistent(i, cand):
-                assign[i] = cand
+                assign[v] = cand
                 if rec(i + 1):
                     return True
-                assign[i] = None
+                assign[v] = None
         return False
 
     return rec(0)

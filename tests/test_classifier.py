@@ -15,7 +15,9 @@ from gammagraphs import (
     UnsupportedSizeError,
     are_isomorphic,
     canonical_form,
+    cartesian_product,
     connected_components,
+    find_labelling,
     induced_subgraph,
     is_valid_labelling,
     make_family,
@@ -30,6 +32,7 @@ from gammagraphs.classify import (
     UNLABELLABLE_NONMINIMAL,
     Verdict,
     _blocks,
+    _glue,
     classify,
     classify_connected,
     decide_labellable,
@@ -299,19 +302,45 @@ class TestDecideLabellable:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "9242629d62e3dd42050a34a1834e94b94dc366698974c246d6554d10703ab7a8"
 
+    def test_one_block_search_labelling_is_its_own_gluing(self):
+        # a graph that is one non-complete block gets its search's labelling
+        # unglued, as gluing it alone rebuilds it symbol for symbol: every
+        # such graph on at most seven vertices, and seeded numberings of
+        # larger ones
+        rng = random.Random(28)
+        larger = [
+            make_family("cycle", 12),
+            make_family("prism", 5),
+            make_family("wheel", 9),
+            make_family("hypercube", 3),
+            make_family("fan", 1, 9),
+            cartesian_product(make_family("path", 3), make_family("path", 4)),
+        ]
+        graphs = [g for n in range(3, 8) for g in enumerate_connected_graphs(n)]
+        graphs += [permute_graph(g, rng.sample(range(g.n), g.n)) for g in larger for _ in range(3)]
+        checked = 0
+        for g in graphs:
+            blocks = _blocks(g.adj)
+            if len(blocks) > 1 or g.edge_count == g.n * (g.n - 1) // 2:
+                continue
+            outcome = find_labelling(g)
+            if outcome:
+                own = dict(enumerate(outcome.labelling.labels))
+                assert _glue(g, blocks, [(outcome.k, own)]) == outcome.labelling, g.edges()
+                assert decide_labellable(g).labelling == outcome.labelling
+                checked += 1
+        assert checked == 116 + 3 * len(larger)
+
     def test_every_small_graph_matches_component_oracle(self):
         # every labelled graph on 1..5 vertices, each five-vertex one beside
-        # an isolated vertex, and every six-vertex graph with a cut vertex
-        # or several components, up to isomorphism and in three numberings:
-        # g is labellable exactly when each of its blocks is, and a
+        # an isolated vertex, and every six-vertex graph up to isomorphism
+        # in three numberings (a 2-connected one is one block, searched
+        # whole): g is labellable exactly when each of its blocks is, and a
         # connected graph on c vertices with a labelling has one with
         # k <= max(1, c - 1) (see SearchBudget).  The blocks come from the
         # brute-force oracle, and the labelling oracle on each is memoised
         # by its masks, not by canonical form, so it rests on none of the
-        # code it checks.  A 2-connected six-vertex graph is one block,
-        # searched whole; the brute-force oracle takes seconds to exhaust one
-        # (2.2 s for the 6-wheel at k = 5), so the search's own oracle tests
-        # stop at five vertices too.
+        # code it checks.
         graphs = [g for n in range(1, 6) for g in all_graphs_on(n)]
         graphs += [Graph.from_edges(6, g.edges()) for g in all_graphs_on(5)]
         graphs += _six_vertex_graphs()
@@ -319,8 +348,6 @@ class TestDecideLabellable:
         glued = unlabellable = 0
         for g in graphs:
             blocks = oracle_blocks(g)
-            if max(map(len, blocks)) == 6:
-                continue
             expected = True
             for block in blocks:
                 sub = induced_subgraph(g, block)

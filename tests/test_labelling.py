@@ -299,10 +299,10 @@ class TestSearch:
 
     def test_connected_labellable_graphs_need_k_at_most_n_minus_one(self):
         # the lemma in SearchBudget's docstring, on every connected graph
-        # with 2..5 vertices
+        # with 2..6 vertices
         from helpers import oracle_labelling_exists
 
-        for n in range(2, 6):
+        for n in range(2, 7):
             for g in enumerate_connected_graphs(n):
                 out = find_labelling(g, SearchBudget(k_max=n + 1))
                 assert out.status in ("found", "absent_up_to_k")
