@@ -124,8 +124,12 @@ class Verdict(namedtuple("Verdict", "status k_bound labelling witness witness_fo
             raise ValueError("nonminimal verdicts must carry a witness and its form")
         return super().__new__(cls, status, k_bound, labelling, witness, witness_form)
 
-    # namedtuple's _make, and so _replace, would skip the checks above
+    # namedtuple's _make, and so _replace, would skip the checks above, as
+    # would pickle protocols 0 and 1 without __reduce__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class ClassificationReport(namedtuple("ClassificationReport", "params verdicts counts")):

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .classify import classify, classify_connected, report_summary, report_to_json
-from .clutters import blocker, clutter_from_json, clutter_to_json, validate_clutter
+from .clutters import blocker, clutter_from_json, clutter_to_json
 from .domination import min_dominating_sets, result_to_json
 from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
 from .gammagraph import build_gamma_graph, gamma_graph_to_json
@@ -55,21 +55,56 @@ def _input_graphs(args) -> list:
 
 
 def _input_family(args):
-    if args.sets is not None:
-        members = []
-        for chunk in args.sets.split(","):
-            chunk = chunk.strip()
-            if not chunk.isdigit():
-                raise ValueError(f"--sets expects comma-separated digit strings, got {chunk!r}")
-            members.append(frozenset(int(ch) for ch in chunk))
-        ground = max((max(m) for m in members if m), default=0)
-        return validate_clutter(ground, members)
-    with open(args.sets_file, encoding="ascii") as fh:
-        return clutter_from_json(json.load(fh))
+    if args.sets is None:
+        with open(args.sets_file, encoding="ascii") as fh:
+            return clutter_from_json(json.load(fh))
+    members = []
+    for chunk in args.sets.split(","):
+        chunk = chunk.strip()
+        if not chunk.isdigit():
+            raise ValueError(f"--sets expects comma-separated digit strings, got {chunk!r}")
+        members.append([int(ch) for ch in chunk])
+    return clutter_from_json({"n": max(map(max, members)), "members": members})
 
 
 def _budget(args) -> SearchBudget:
     return SearchBudget(k_max=args.k_max, node_limit=args.node_limit)
+
+
+# Option groups of add_argument's (flag, keywords); a group of two is required, mutually exclusive.
+_OUT = [("--out", {})]
+_LIMIT = [("--node-limit", dict(type=int, default=DEFAULT_NODE_LIMIT))]
+_DIST = [("--d", dict(type=int, required=True))]
+_K_MAX = [("--k-max", dict(type=int, default=None, help="largest label size tried (default: max(2, n))"))]
+_VERIFY = [("--verify", dict(action="store_true", help="re-enumerate and check the result"))]
+_GRAPHS = [("--graph6", dict(help="inline graph6 word")),
+           ("--in", dict(dest="infile", help="file of graph6 words, one per line"))]
+_SETS = [("--sets", dict(help="comma-separated digit strings, e.g. 123,124")),
+         ("--sets-file", dict(help='JSON file {"n": ..., "members": [[...], ...]}'))]
+_BATCH = [("--max-n", dict(type=int, help="classify all connected graphs with 1..N vertices")),
+          ("--in", dict(dest="infile", help="file of graph6 words"))]
+_NAME = [("name", dict(help="path|cycle|complete|complete-bipartite|wheel|fan|prism|hypercube"))]
+_PARAMS = [("params", dict(type=int, nargs="+"))]
+
+
+class _LazyParser:
+    """A command's parser, built when argparse first touches it, from the
+    command's option groups and the keywords argparse passes, unchanged."""
+
+    def __init__(self, options, **kwargs):
+        self._options, self._kwargs = options, kwargs
+
+    @functools.cached_property
+    def _parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for group in self._options:
+            target = parser.add_mutually_exclusive_group(required=True) if len(group) > 1 else parser
+            for flag, keywords in group:
+                target.add_argument(flag, **keywords)
+        return parser
+
+    def __getattr__(self, name):
+        return getattr(self._parser, name)
 
 
 @functools.cache
@@ -77,51 +112,20 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it:
     parsing leaves it unchanged, and each parse returns a fresh namespace.
 
-    Every subparser is built, though a run uses one.  In a fresh interpreter
-    this build plus one parse takes about 3 ms (2-vCPU host), of which about
-    1.1-1.5 ms is argparse's first gettext lookup importing `locale`, which
-    any argparse parser pays; a parser holding only the invoked command took
-    about 1.6-1.9 ms.  The top-level --help, usage and error text need every
-    subparser, so that saving would need a second parse path."""
+    Top-level help, usage and errors need each command's name and help line,
+    not its parser, so a command's parser is built when a run first reaches
+    it: a `gamma` run builds 2 ArgumentParsers, where building all seven
+    commands took 16.  In a fresh interpreter (2-vCPU host) that cut the first
+    parse from a median 3.7 to 2.4 ms; about 1.4 ms of the rest is argparse's
+    first gettext lookup importing `locale`, which any parser pays."""
     parser = argparse.ArgumentParser(
         prog="gammagraphs",
         description="domination families, gamma-graphs, blockers, realizations, "
         "labellings, and small-graph classification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # Each option is declared once, in a parent; a command lists them in its --help order.
-    out, limit, dist, k_max, verify, graphs, sets, batch = (
-        argparse.ArgumentParser(add_help=False) for _ in range(8)
-    )
-    out.add_argument("--out")
-    limit.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    dist.add_argument("--d", type=int, required=True)
-    k_max.add_argument("--k-max", type=int, default=None, help="largest label size tried (default: max(2, n))")
-    verify.add_argument("--verify", action="store_true", help="re-enumerate and check the result")
-    src = graphs.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph6", help="inline graph6 word")
-    src.add_argument("--in", dest="infile", help="file of graph6 words, one per line")
-    src = sets.add_mutually_exclusive_group(required=True)
-    src.add_argument("--sets", help="comma-separated digit strings, e.g. 123,124")
-    src.add_argument("--sets-file", help='JSON file {"n": ..., "members": [[...], ...]}')
-    src = batch.add_mutually_exclusive_group(required=True)
-    src.add_argument("--max-n", type=int, help="classify all connected graphs with 1..N vertices")
-    src.add_argument("--in", dest="infile", help="file of graph6 words")
-
-    for name, parents, text in (
-        ("gamma", [dist, graphs, limit, out], "domination number and all minimum sets"),
-        ("gammagraph", [dist, graphs, limit, out], "build the gamma-graph"),
-        ("realize", [dist, sets, verify, out], "graph whose minimum dominating sets are the given family"),
-        ("blocker", [sets, out], "minimal transversals of a set family"),
-        ("label", [graphs, k_max, limit, out], "search for a valid vertex labelling"),
-        ("classify", [batch, k_max, limit, out], "labellability classification of a graph batch"),
-    ):
-        sub.add_parser(name, parents=parents, help=text)
-    p = sub.add_parser("family", parents=[out], help="construct a named graph family member")
-    p.add_argument("name", help="path|cycle|complete|complete-bipartite|wheel|fan|prism|hypercube")
-    p.add_argument("params", type=int, nargs="+")
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
+    for name, _, text, options in _COMMANDS:
+        sub.add_parser(name, help=text, options=options)
     return parser
 
 
@@ -193,27 +197,27 @@ def _run_family(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "gamma": _run_gamma,
-    "gammagraph": _run_gammagraph,
-    "realize": _run_realize,
-    "blocker": _run_blocker,
-    "label": _run_label,
-    "classify": _run_classify,
-    "family": _run_family,
-}
+# Each command: its name, handler, help line, and option groups in --help order.
+_COMMANDS = (
+    ("gamma", _run_gamma, "domination number and all minimum sets", [_DIST, _GRAPHS, _LIMIT, _OUT]),
+    ("gammagraph", _run_gammagraph, "build the gamma-graph", [_DIST, _GRAPHS, _LIMIT, _OUT]),
+    ("realize", _run_realize, "graph whose minimum dominating sets are the given family",
+     [_DIST, _SETS, _VERIFY, _OUT]),
+    ("blocker", _run_blocker, "minimal transversals of a set family", [_SETS, _OUT]),
+    ("label", _run_label, "search for a valid vertex labelling", [_GRAPHS, _K_MAX, _LIMIT, _OUT]),
+    ("classify", _run_classify, "labellability classification of a graph batch", [_BATCH, _K_MAX, _LIMIT, _OUT]),
+    ("family", _run_family, "construct a named graph family member", [_OUT, _NAME, _PARAMS]),
+)
+_HANDLERS = {name: handler for name, handler, _, _ in _COMMANDS}
 
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except WorkLimitExceeded as exc:
+    except (WorkLimitExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, WorkLimitExceeded) else EXIT_USAGE
 
 
 def main() -> None:

@@ -32,8 +32,12 @@ class Clutter(namedtuple("Clutter", "ground_size members")):
         _check_antichain(ground_size, members)
         return super().__new__(cls, ground_size, members)
 
-    # namedtuple's _make, and so _replace, would skip the checks above
+    # namedtuple's _make, and so _replace, would skip the checks above, as
+    # would pickle protocols 0 and 1 without __reduce__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def member_sets(self) -> set[frozenset[int]]:
         return set(self.members)
@@ -146,12 +150,16 @@ def clutter_to_json(c: Clutter) -> dict:
 
 
 def clutter_from_json(doc) -> Clutter:
-    """Parse {"n": int, "members": [[int, ...], ...]}, or raise ValueError."""
+    """Parse {"n": int, "members": [[int, ...], ...]}, or raise ValueError;
+    a member that lists an element twice is rejected, not merged."""
     if not (isinstance(doc, dict) and "n" in doc and isinstance(doc.get("members"), list)
             and all(isinstance(m, list) for m in doc["members"])):
         raise ValueError('a clutter document is {"n": int, "members": [[int, ...], ...]}')
     for x in [doc["n"], *(e for m in doc["members"] for e in m)]:
         if type(x) is not int:
             raise ValueError(f"not an integer: {x!r}")
+    for m in doc["members"]:
+        if len(set(m)) < len(m):
+            raise ValueError(f"member {m} repeats an element")
     return validate_clutter(doc["n"], [frozenset(m) for m in doc["members"]])
 

@@ -81,8 +81,12 @@ class Graph(namedtuple("Graph", "n adj names")):
             _raise_first_invalid_mask(n, adj)
         return super().__new__(cls, n, adj, names)
 
-    # namedtuple's _make, and so _replace, would skip the checks above
+    # namedtuple's _make, and so _replace, would skip the checks above, as
+    # would pickle protocols 0 and 1 without __reduce__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @staticmethod
     def from_edges(n: int, edges, names: tuple[str, ...] | None = None) -> "Graph":

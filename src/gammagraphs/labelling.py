@@ -37,8 +37,12 @@ class Labelling(namedtuple("Labelling", "k labels")):
                     raise ValueError(f"symbols must be positive integers, got {sym!r}")
         return super().__new__(cls, k, labels)
 
-    # namedtuple's _make, and so _replace, would skip the checks above
+    # namedtuple's _make, and so _replace, would skip the checks above, as
+    # would pickle protocols 0 and 1 without __reduce__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def max_symbol(self) -> int:
         return max((max(s) for s in self.labels if s), default=0)
@@ -79,8 +83,12 @@ class SearchBudget(namedtuple("SearchBudget", "k_max node_limit")):
             raise ValueError("node_limit must be >= 1")
         return super().__new__(cls, k_max, node_limit)
 
-    # namedtuple's _make, and so _replace, would skip the checks above
+    # namedtuple's _make, and so _replace, would skip the checks above, as
+    # would pickle protocols 0 and 1 without __reduce__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def k_bound(self, g: Graph) -> int:
         """The largest label size searched on g."""

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import inspect
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -154,6 +156,7 @@ class TestBlocker:
         {"n": 3, "members": [[1, "2"]]},
         {"n": 3.0, "members": [[1, 2]]},
         [1, 2],
+        {"n": 3, "members": [[1, 1, 2]]},
     ],
 )
 def test_malformed_sets_file_is_usage_error(tmp_path, capsys, command, doc):
@@ -162,6 +165,25 @@ def test_malformed_sets_file_is_usage_error(tmp_path, capsys, command, doc):
     assert run(command + ["--sets-file", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["blocker"], ["realize", "--d", "1"]])
+@pytest.mark.parametrize(
+    "source, member",
+    [
+        (["--sets", "112,13"], "[1, 1, 2]"),
+        (["--sets", "12, 343"], "[3, 4, 3]"),
+        (["--sets-file", "family.json"], "[1, 3, 1]"),
+    ],
+    ids=["sets", "sets-later-member", "sets-file"],
+)
+def test_repeated_element_is_usage_error(tmp_path, monkeypatch, capsys, command, source, member):
+    # a repeated element is an input error, not merged into a smaller member
+    (tmp_path / "family.json").write_text(json.dumps({"n": 3, "members": [[1, 2], [1, 3, 1]]}))
+    monkeypatch.chdir(tmp_path)
+    assert run(command + source) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: member {member} repeats an element\n"
 
 
 @pytest.mark.parametrize(
@@ -411,6 +433,86 @@ def test_one_node_limit_default(argv):
     assert SearchBudget().node_limit == DEFAULT_NODE_LIMIT
     default = inspect.signature(min_dominating_sets).parameters["node_limit"].default
     assert default == DEFAULT_NODE_LIMIT
+
+
+# each command's help line and option strings, as --help lists them
+COMMAND_HELP = {
+    "gamma": ("domination number and all minimum sets", {"--d", "--graph6", "--in", "--node-limit", "--out"}),
+    "gammagraph": ("build the gamma-graph", {"--d", "--graph6", "--in", "--node-limit", "--out"}),
+    "realize": (
+        "graph whose minimum dominating sets are the given family",
+        {"--d", "--sets", "--sets-file", "--verify", "--out"},
+    ),
+    "blocker": ("minimal transversals of a set family", {"--sets", "--sets-file", "--out"}),
+    "label": ("search for a valid vertex labelling", {"--graph6", "--in", "--k-max", "--node-limit", "--out"}),
+    "classify": (
+        "labellability classification of a graph batch",
+        {"--max-n", "--in", "--k-max", "--node-limit", "--out"},
+    ),
+    "family": ("construct a named graph family member", {"--out"}),
+}
+
+
+class TestArgparseSurface:
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def _exit(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        return exc.value.code, capsys.readouterr()
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, captured = self._exit(capsys, ["--help"])
+        assert code == 0 and captured.out.startswith("usage: gammagraphs [-h]")
+        text = " ".join(captured.out.split())
+        for command, (line, _) in COMMAND_HELP.items():
+            assert f" {command} {line}" in text
+
+    @pytest.mark.parametrize("command", list(COMMAND_HELP))
+    def test_command_help_lists_its_options(self, capsys, command):
+        code, captured = self._exit(capsys, [command, "--help"])
+        assert code == 0 and captured.out.startswith(f"usage: gammagraphs {command} ")
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", captured.out))
+        assert listed == {"-h", "--help", *COMMAND_HELP[command][1]}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gamma", "--d", "1", "--graph6", "FhNGW", "extra"], "unrecognized arguments: extra"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["extra-argument", "unknown-command"],
+    )
+    def test_errors_print_the_top_level_usage(self, capsys, argv, message):
+        code, captured = self._exit(capsys, argv)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: gammagraphs [-h]")
+        assert "{gamma,gammagraph,realize,blocker,label,classify,family}" in captured.err
+        assert f"gammagraphs: error: {message}" in captured.err
+
+
+def test_a_run_builds_only_the_parsers_it_reaches(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    gamma = ["gamma", "--d", "1", "--graph6", DEMO_WORD]
+    assert run(gamma) == 0
+    assert built == ["gammagraphs", "gammagraphs gamma"]
+    assert run(["family", "path", "3"]) == 0
+    assert built[2:] == ["gammagraphs family"]
+    assert run(gamma) == 0 and run(["family", "path", "3"]) == 0
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    assert len(built) == 3
 
 
 class TestDeterminismAndOutput:

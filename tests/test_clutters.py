@@ -190,3 +190,8 @@ def test_json_roundtrip():
     doc = clutter_to_json(c)
     assert doc == {"n": 4, "members": [[1, 2, 3], [1, 2, 4]]}
     assert clutter_from_json(doc).members == c.members
+
+
+def test_json_member_with_a_repeated_element_rejected():
+    with pytest.raises(ValueError, match=r"^member \[2, 1, 2\] repeats an element$"):
+        clutter_from_json({"n": 3, "members": [[1, 3], [2, 1, 2]]})

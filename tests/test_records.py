@@ -116,18 +116,25 @@ def test_immutable(record):
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_pickle_round_trip(record):
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         again = pickle.loads(pickle.dumps(record, protocol))
         assert type(again) is type(record) and again == record
 
 
 def test_unpickling_validates_again():
-    # Graph(2, (2, 1), names): the adjacency tuple is pickled as two
-    # one-byte ints (K) and TUPLE2 (\x86); (1, 0) has a self-loop at 0
-    good = pickle.dumps(make_family("path", 2), 4)
-    assert good.count(b"K\x02K\x01\x86") == 1
-    with pytest.raises(ValueError, match="^self-loop at vertex 0$"):
-        pickle.loads(good.replace(b"K\x02K\x01\x86", b"K\x01K\x00\x86"))
+    # Graph(2, (2, 1), names) with its adjacency edited to (1, 0), which has
+    # a self-loop at 0.  Protocol 4 writes the two ints as one-byte ints (K)
+    # and TUPLE2 (\x86); protocol 0 as text ints (I...\n) closed by TUPLE (t).
+    # Protocols 0 and 1 once rebuilt a record through copyreg._reconstructor,
+    # which skipped the validating __new__.
+    for protocol, adj, edited in [
+        (4, b"K\x02K\x01\x86", b"K\x01K\x00\x86"),
+        (0, b"I2\nI1\nt", b"I1\nI0\nt"),
+    ]:
+        good = pickle.dumps(make_family("path", 2), protocol)
+        assert good.count(adj) == 1
+        with pytest.raises(ValueError, match="^self-loop at vertex 0$"):
+            pickle.loads(good.replace(adj, edited))
 
 
 def test_equality_and_hash_by_value():
