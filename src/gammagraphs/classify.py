@@ -70,7 +70,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import UnsupportedSizeError
+from .errors import CheckedRecord, UnsupportedSizeError
 from .graphs import (
     Graph,
     _default_names,
@@ -101,7 +101,7 @@ UNDECIDED = "undecided"
 ENUMERATION_MAX_VERTICES = 7
 
 
-class Verdict(namedtuple("Verdict", "status k_bound labelling witness witness_form")):
+class Verdict(CheckedRecord, namedtuple("Verdict", "status k_bound labelling witness witness_form")):
     """Per-graph outcome; k_bound is the k_max the verdict is relative to.
     Each block is searched up to it, and gluing the blocks can grow k, so a
     labellable verdict's labelling may have a larger k (see
@@ -124,22 +124,12 @@ class Verdict(namedtuple("Verdict", "status k_bound labelling witness witness_fo
             raise ValueError("nonminimal verdicts must carry a witness and its form")
         return super().__new__(cls, status, k_bound, labelling, witness, witness_form)
 
-    # namedtuple's _make, and so _replace, would skip the checks above, as
-    # would pickle protocols 0 and 1 without __reduce__
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
 
 class ClassificationReport(namedtuple("ClassificationReport", "params verdicts counts")):
     """The run's parameters, the verdicts keyed by graph6 (iteration order
     sorted), and the count of each status."""
 
     __slots__ = ()
-
-    def count(self, status: str) -> int:
-        return self.counts.get(status, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def _input_family(args):
     members = []
     for chunk in args.sets.split(","):
         chunk = chunk.strip()
-        if not chunk.isdigit():
+        if not (chunk.isascii() and chunk.isdigit()):
             raise ValueError(f"--sets expects comma-separated digit strings, got {chunk!r}")
         members.append([int(ch) for ch in chunk])
     return clutter_from_json({"n": max(map(max, members)), "members": members})

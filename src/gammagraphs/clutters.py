@@ -6,12 +6,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .errors import CheckedRecord
+
 
 def _sort_key(member: frozenset[int]):
     return (len(member), tuple(sorted(member)))
 
 
-class Clutter(namedtuple("Clutter", "ground_size members")):
+class Clutter(CheckedRecord, namedtuple("Clutter", "ground_size members")):
     """An antichain over the ground set {1..ground_size}.
 
     Members are stored sorted by size then lexicographically.  The empty set
@@ -31,13 +33,6 @@ class Clutter(namedtuple("Clutter", "ground_size members")):
             seen.add(m)
         _check_antichain(ground_size, members)
         return super().__new__(cls, ground_size, members)
-
-    # namedtuple's _make, and so _replace, would skip the checks above, as
-    # would pickle protocols 0 and 1 without __reduce__
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     def member_sets(self) -> set[frozenset[int]]:
         return set(self.members)

@@ -1,4 +1,5 @@
-"""Exception types and the search node limit shared across the package."""
+"""Exception types, the search node limit and the checked-record base shared
+across the package."""
 
 from __future__ import annotations
 
@@ -33,3 +34,20 @@ class WorkLimitExceeded(RuntimeError):
     def __init__(self, message: str, examined: int):
         super().__init__(f"{message} ({examined} nodes examined)")
         self.examined = examined
+
+
+class CheckedRecord:
+    """Base for the named-tuple records whose ``__new__`` validates.
+
+    namedtuple's ``_make``, and so ``_replace``, would skip that check, as
+    would pickle protocols 0 and 1 without ``__reduce__``; both rebuild
+    through the class instead.  List it before the namedtuple among the
+    bases, or the namedtuple's own ``_make`` wins.
+    """
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)

@@ -13,7 +13,7 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .errors import GraphFormatError, UnsupportedSizeError
+from .errors import CheckedRecord, GraphFormatError, UnsupportedSizeError
 
 CANONICAL_FORM_MAX_VERTICES = 16
 GRAPH6_MAX_VERTICES = 62
@@ -65,12 +65,14 @@ def _raise_first_invalid_mask(n: int, adj: tuple[int, ...]) -> None:
                 raise ValueError(f"adjacency is not symmetric at ({v},{u})")
 
 
-class Graph(namedtuple("Graph", "n adj names")):
+class Graph(CheckedRecord, namedtuple("Graph", "n adj names")):
     """A finite simple undirected graph (no loops, no multi-edges)."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, adj: tuple[int, ...], names: tuple[str, ...]):
+        adj = tuple(adj)
+        names = tuple(names)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if len(adj) != n or len(names) != n:
@@ -80,13 +82,6 @@ class Graph(namedtuple("Graph", "n adj names")):
         if not _masks_valid(n, adj):
             _raise_first_invalid_mask(n, adj)
         return super().__new__(cls, n, adj, names)
-
-    # namedtuple's _make, and so _replace, would skip the checks above, as
-    # would pickle protocols 0 and 1 without __reduce__
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     @staticmethod
     def from_edges(n: int, edges, names: tuple[str, ...] | None = None) -> "Graph":
@@ -98,7 +93,7 @@ class Graph(namedtuple("Graph", "n adj names")):
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, tuple(adj), tuple(names) if names else _default_names(n))
+        return Graph(n, adj, names or _default_names(n))
 
     def edges(self) -> list[tuple[int, int]]:
         out = []

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
+from .errors import DEFAULT_NODE_LIMIT, CheckedRecord, WorkLimitExceeded
 from .graphs import Graph, cartesian_product
 
 
-class Labelling(namedtuple("Labelling", "k labels")):
+class Labelling(CheckedRecord, namedtuple("Labelling", "k labels")):
     """A size-k label per vertex, aligned with the graph's vertex indices.
 
     Symbols are positive integers.  Structural validity (distinctness and the
@@ -37,18 +37,11 @@ class Labelling(namedtuple("Labelling", "k labels")):
                     raise ValueError(f"symbols must be positive integers, got {sym!r}")
         return super().__new__(cls, k, labels)
 
-    # namedtuple's _make, and so _replace, would skip the checks above, as
-    # would pickle protocols 0 and 1 without __reduce__
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
     def max_symbol(self) -> int:
         return max((max(s) for s in self.labels if s), default=0)
 
 
-class SearchBudget(namedtuple("SearchBudget", "k_max node_limit")):
+class SearchBudget(CheckedRecord, namedtuple("SearchBudget", "k_max node_limit")):
     """Bounds for the labelling search.
 
     k_max=None resolves to max(2, vertex count); node_limit counts candidate
@@ -82,13 +75,6 @@ class SearchBudget(namedtuple("SearchBudget", "k_max node_limit")):
         if node_limit < 1:
             raise ValueError("node_limit must be >= 1")
         return super().__new__(cls, k_max, node_limit)
-
-    # namedtuple's _make, and so _replace, would skip the checks above, as
-    # would pickle protocols 0 and 1 without __reduce__
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     def k_bound(self, g: Graph) -> int:
         """The largest label size searched on g."""

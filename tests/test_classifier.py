@@ -710,7 +710,7 @@ class TestClassifyConnected:
             deletion_tests.clear()
             classify_module._connected_words.cache_clear()
             report = classify_connected(7)
-            assert report.count(LABELLABLE) + report.count(MINIMALLY_UNLABELLABLE) == 425
+            assert report.counts[LABELLABLE] + report.counts[MINIMALLY_UNLABELLABLE] == 425
             assert len(searches) == 198 and len(set(searches)) == 176
             assert len(deletion_tests) == 2019
 
@@ -719,7 +719,7 @@ class TestClassifyConnected:
             raise AssertionError(f"deletions of a {len(adj)}-vertex graph read")
 
         monkeypatch.setattr(classify_module, "_connected_deletions", forbidden)
-        assert classify_connected(6, BUDGET).count(MINIMALLY_UNLABELLABLE) == 8
+        assert classify_connected(6, BUDGET).counts[MINIMALLY_UNLABELLABLE] == 8
 
     def test_sizes_out_of_range(self):
         with pytest.raises(ValueError):

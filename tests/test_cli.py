@@ -186,6 +186,16 @@ def test_repeated_element_is_usage_error(tmp_path, monkeypatch, capsys, command,
     assert captured.out == "" and captured.err == f"error: member {member} repeats an element\n"
 
 
+@pytest.mark.parametrize("spec", ["1\u0663,12", "1\u00b2,13"], ids=["arabic-indic", "superscript"])
+def test_non_ascii_digits_are_usage_error(capsys, spec):
+    # str.isdigit accepts these; int() would read the first as 3 and reject the second
+    assert run(["blocker", "--sets", spec]) == 2
+    captured = capsys.readouterr()
+    first = spec.split(",")[0]
+    assert captured.out == ""
+    assert captured.err == f"error: --sets expects comma-separated digit strings, got {first!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,6 +17,7 @@ from gammagraphs import (
     SearchBudget,
     Verdict,
     build_gamma_graph,
+    canonical_form,
     find_labelling,
     is_valid_labelling,
     make_family,
@@ -25,6 +26,7 @@ from gammagraphs import (
     verify_realization,
 )
 from gammagraphs.classify import classify
+from gammagraphs.errors import CheckedRecord
 
 
 def _records():
@@ -146,6 +148,28 @@ def test_equality_and_hash_by_value():
     assert Clutter(3, [{3}, {1, 2}]) == Clutter(3, [{1, 2}, {3}])
     assert SearchBudget(k_max=3) != SearchBudget(k_max=4)
     assert len({make_family("cycle", 4), make_family("cycle", 4), make_family("path", 4)}) == 2
+
+
+def test_graph_normalises_list_fields():
+    # list fields once made a mutable, unhashable record unequal to its tuple twin
+    path2 = make_family("path", 2)
+    g = Graph(2, [2, 1], ["1", "2"])
+    assert g == path2 and hash(g) == hash(path2)
+    assert type(g.adj) is tuple and type(g.names) is tuple
+    assert canonical_form(g) == canonical_form(path2)
+    assert path2._replace(adj=[2, 1]) == path2
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_validating_records_share_the_checked_base(record):
+    # so that _replace and unpickling validate through __new__
+    cls = type(record)
+    if "__new__" in vars(cls):
+        assert issubclass(cls, CheckedRecord)
+        assert "_make" not in vars(cls) and "__reduce__" not in vars(cls)
+        # not shadowed by the namedtuple's own _make
+        assert cls._make.__func__ is CheckedRecord._make.__func__
+        assert cls.__reduce__ is CheckedRecord.__reduce__
 
 
 def test_records_are_tuples():
