@@ -122,6 +122,8 @@ class Verdict(CheckedRecord, namedtuple("Verdict", "status k_bound labelling wit
             raise ValueError("labellable verdicts must carry a labelling")
         if status == UNLABELLABLE_NONMINIMAL and (witness is None or witness_form is None):
             raise ValueError("nonminimal verdicts must carry a witness and its form")
+        if witness is not None:
+            witness = tuple(witness)
         return super().__new__(cls, status, k_bound, labelling, witness, witness_form)
 
 

@@ -307,9 +307,10 @@ def test_sizes_start_at_the_root_packing_bound():
     "n, d, nodes",
     [
         # before the volume prune the packing bound alone took 2,960 and
-        # 2,554 nodes on these two searches
-        (42, 3, 211),
-        (40, 2, 283),
+        # 2,554 nodes on these two searches; searched in the relabelled
+        # numbering rather than breadth first they took 211 and 283
+        (42, 3, 183),
+        (40, 2, 146),
     ],
 )
 def test_volume_prune_node_counts(n, d, nodes):
@@ -319,6 +320,39 @@ def test_volume_prune_node_counts(n, d, nodes):
     with pytest.raises(WorkLimitExceeded) as exc:
         min_dominating_sets(g, d, node_limit=nodes - 1)
     assert exc.value.examined == nodes
+
+
+def _grid(rows, cols):
+    edges = [(cols * r + c, cols * r + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(cols * r + c, cols * r + c + cols) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+@pytest.mark.parametrize(
+    "g, d",
+    [
+        (_grid(4, 8), 1),
+        (make_family("cycle", 34), 2),
+        (make_family("hypercube", 4), 1),
+        # above the 64 vertices up to which the search renumbers its input
+        (_relabelled(make_family("cycle", 70), 3), 2),
+    ],
+    ids=["grid4x8", "cycle34", "hypercube4", "cycle70"],
+)
+def test_sets_follow_a_relabelling(g, d):
+    # the search runs in its own breadth-first numbering and maps each cover
+    # back, so relabelling the input relabels the sets and nothing else
+    base = min_dominating_sets(g, d)
+    for seed in range(3):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        new = [0] * g.n
+        for i, v in enumerate(perm):
+            new[v] = i
+        result = min_dominating_sets(permute_graph(g, perm), d)
+        assert result.gamma == base.gamma
+        expected = sorted((frozenset(new[v] for v in s) for s in base.min_sets), key=sorted)
+        assert result.min_sets == tuple(expected)
 
 
 def _search_nodes(g, d):

@@ -160,6 +160,15 @@ def test_graph_normalises_list_fields():
     assert path2._replace(adj=[2, 1]) == path2
 
 
+def test_verdict_normalises_a_list_witness():
+    # a list witness once made a verdict unhashable and unequal to its tuple twin
+    twin = Verdict("unlabellable_nonminimal", 2, witness=(0, 1), witness_form=b"A_")
+    v = Verdict("unlabellable_nonminimal", 2, witness=[0, 1], witness_form=b"A_")
+    assert v == twin and hash(v) == hash(twin)
+    assert type(v.witness) is tuple
+    assert twin._replace(witness=[0, 1]) == twin
+
+
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_validating_records_share_the_checked_base(record):
     # so that _replace and unpickling validate through __new__
