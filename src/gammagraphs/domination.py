@@ -32,6 +32,13 @@ b on the root is never pruned, so its pass is made once for every size.
   popcount, still runs first; the packing pass is skipped, as it would cut
   the node only when the intersection is empty.  So no node with no pick
   left is ever visited.
+- A node with two picks left that passes both prunes (the root too when s
+  is 2) settles its children in place rather than handing them back to
+  the stack loop: for each branch vertex v in increasing order it counts
+  the child as one node, volume-prunes it, closes it with v chosen and the
+  earlier siblings forbidden, then forbids v.  The nodes, the order they
+  are counted in and the covers are those of the stack loop; only its
+  frame and call per child are saved.
 - So each minimum set C is found exactly once: at every node on its path C
   holds the chosen vertices and no forbidden one, passes both prunes (each
   is a lower bound that C itself meets), and lies below the branch on the
@@ -65,11 +72,15 @@ from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
 from .graphs import Graph, _neighbour_lists
 
 # The largest graph the cover search renumbers breadth first.  The renumbering
-# costs two steps per edge on n-bit masks.  On the 292-1402-vertex graphs
-# that `realize` builds it took 0.6-2.7 ms each, about half their cover
-# search, and saved no search node there; on the graphs of at most 42
-# vertices of the `dom_d1` and `dom_far` benchmarks it is about 1% of the
-# search and cuts its nodes by 13% and 40%.
+# costs two steps per edge on n-bit masks.  On the nine 292-1402-vertex
+# graphs that `realize` builds (benchmark seed 1, round 0) it took 1.1-5.9 ms
+# each, 0.6-1.4 times the numbered search with its balls, mostly walking the
+# clique core's wide masks (the breadth-first order alone is 0.1-1.0 ms;
+# medians of 7 timings, 2-vCPU host, Python 3.11).  It also added search
+# nodes there: 50 -> 56 on the 292-vertex graph at d = 1, 75 -> 96 on the
+# 1402-vertex graph at d = 3, and 643 -> 780 summed over the nine.  On the
+# graphs of at most 42 vertices of the `dom_d1` and `dom_far` benchmarks it
+# is about 1% of the search and cuts its nodes by 13% and 40%.
 _RENUMBER_MAX_VERTICES = 64
 
 
@@ -125,7 +136,9 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
     """Every minimum set of vertices whose balls cover `full`, as sorted index
     tuples in lexicographic order (see the module docstring).  The stack is
     explicit, so the depth is not bounded by the interpreter's recursion
-    limit.
+    limit.  A node with one pick left is settled by `close`, and the children
+    of a node with two picks left by `settle`, each still counted as one
+    node, so neither takes a stack frame.
     """
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -174,18 +187,37 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
             covers.append(tuple(sorted([*chosen, low.bit_length() - 1])))
             last ^= low
 
+    def settle(uncovered: int, forbidden: int, options: int) -> None:
+        """Settle the children of a node with two picks left, one per vertex v
+        of `options` in increasing order, as the stack loop would visit them:
+        count each as one node, volume-prune it, close it with v chosen and
+        the earlier siblings forbidden, then forbid v."""
+        nonlocal nodes
+        one = reach[1]
+        while options:
+            low = options & -options
+            nodes += 1
+            if nodes > limit:
+                raise WorkLimitExceeded("domination search work limit exceeded", nodes)
+            v = low.bit_length() - 1
+            left = uncovered & ~balls[v]
+            if left.bit_count() <= one:
+                chosen.append(v)
+                close(left, forbidden)
+                chosen.pop()
+            forbidden |= low
+            options ^= low
+
     def visit(covered: int, forbidden: int) -> int:
-        """Count a node below the root; return the vertices to branch on, or
-        0 for a pruned node or one whose last pick `close` settles."""
+        """Count a node below the root with at least two picks left; return
+        the vertices to branch on, or 0 for a pruned node or one with two
+        picks left, whose children `settle` handles."""
         nonlocal nodes
         nodes += 1
         if nodes > limit:
             raise WorkLimitExceeded("domination search work limit exceeded", nodes)
         uncovered = full & ~covered
         if uncovered.bit_count() > reach[size - len(chosen)]:
-            return 0
-        if len(chosen) + 1 == size:
-            close(uncovered, forbidden)
             return 0
         allowed = ~forbidden
         # Lower bound: uncovered vertices whose remaining dominators are
@@ -210,7 +242,10 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
             if count < fewest_count:
                 fewest, fewest_count = dominators, count
             rest ^= low
-        return fewest
+        if len(chosen) + 2 < size:
+            return fewest
+        settle(uncovered, forbidden, fewest)
+        return 0
 
     while not covers:
         size += 1
@@ -220,10 +255,13 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         if size == 1:
             close(full, 0)
             continue
+        if size == 2:
+            settle(full, 0, root)
+            continue
         # One frame per node on the current path that may still branch:
         # [covered, forbidden, branches left].  chosen[i] is the vertex taken
-        # from frame i, so a pruned node or one with one pick left never gets
-        # a frame.
+        # from frame i, so a pruned node or one with one or two picks left
+        # never gets a frame.
         stack = [[0, 0, root]]
         while stack:
             frame = stack[-1]
@@ -262,8 +300,8 @@ def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) 
     A graph on at most 64 vertices is searched in its breadth-first order,
     and the covers are mapped back (see the module docstring); node_limit
     then counts the nodes of that renumbered search.  Larger graphs are
-    searched as numbered, since there the renumbering measured about half
-    the cost of the search and saved no node (`_RENUMBER_MAX_VERTICES`).
+    searched as numbered: on the ones `realize` builds the renumbering cost
+    about as much as the search and added nodes (`_RENUMBER_MAX_VERTICES`).
     """
     if g.n == 0:
         raise ValueError("the empty graph has no dominating sets")

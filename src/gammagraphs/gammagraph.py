@@ -45,8 +45,11 @@ def build_gamma_graph(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) ->
     size gamma - 1, as a bitmask.  Two distinct tags A and B of size gamma
     meet in gamma - 1 elements exactly when they share such a key, and the
     shared key is then A & B, so each edge comes from exactly one bucket.
-    Tags enter the buckets in index order, so every pair comes out once with
-    i < j.  That is O(m * gamma) dict operations plus one step per edge.
+    A key's first tag is filed as a bare index; its bucket, a list, is made
+    only when a second tag hits the key, so a key no two tags share costs no
+    list.  Tags enter the buckets in index order, so every pair comes out
+    once with i < j.  That is O(m * gamma) dict operations plus one step per
+    edge.
     For gamma = 1 every tag files under the empty set, and the gamma-graph
     is complete.
     """
@@ -54,12 +57,18 @@ def build_gamma_graph(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) ->
         raise ValueError("the empty graph has no gamma-graph")
     result = min_dominating_sets(g, d, node_limit)
     tags = result.min_sets
-    buckets: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
+    shared: dict[int, list[int]] = {}
     for i, tag in enumerate(tags):
-        mask = sum(1 << x for x in tag)
+        mask = 0
         for x in tag:
-            buckets.setdefault(mask ^ (1 << x), []).append(i)
-    edges = [pair for bucket in buckets.values() for pair in combinations(bucket, 2)]
+            mask |= 1 << x
+        for x in tag:
+            key = mask ^ (1 << x)
+            j = first.setdefault(key, i)
+            if j != i:
+                shared.setdefault(key, [j]).append(i)
+    edges = [pair for bucket in shared.values() for pair in combinations(bucket, 2)]
     base = Graph.from_edges(len(tags), edges, tag_names(g, tags))
     return GammaGraph(base, tags, result.gamma, d)
 

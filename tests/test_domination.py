@@ -13,6 +13,7 @@ from gammagraphs import (
     is_distance_d_dominating,
     make_family,
     min_dominating_sets,
+    parse_graph6,
 )
 from gammagraphs.classify import enumerate_connected_graphs
 from gammagraphs.domination import distance_balls, result_to_json
@@ -304,19 +305,32 @@ def test_sizes_start_at_the_root_packing_bound():
 
 
 @pytest.mark.parametrize(
-    "n, d, nodes",
+    "g, d, nodes, gamma, sets",
     [
         # before the volume prune the packing bound alone took 2,960 and
         # 2,554 nodes on these two searches; searched in the relabelled
         # numbering rather than breadth first they took 211 and 283
-        (42, 3, 183),
-        (40, 2, 146),
+        pytest.param(_relabelled(make_family("cycle", 42), 7), 3, 183, 6, 7, id="42-3-183"),
+        pytest.param(_relabelled(make_family("cycle", 40), 7), 2, 146, 8, 5, id="40-2-146"),
+        # the CI's relabelled hypercube(5): 4,193 of its 6,605 nodes are
+        # children that a node with two picks left settles in place, and each
+        # counts as one node whether or not its volume test passes
+        pytest.param(
+            parse_graph6(
+                "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?"
+                "@?A?@?`?H??COE?G?GX?@IAA?GPADG???o"
+            ),
+            1,
+            6605,
+            7,
+            320,
+            id="cube5-1-6605",
+        ),
     ],
 )
-def test_volume_prune_node_counts(n, d, nodes):
-    g = _relabelled(make_family("cycle", n), 7)
+def test_volume_prune_node_counts(g, d, nodes, gamma, sets):
     result = min_dominating_sets(g, d, node_limit=nodes)
-    assert result.gamma == n // (2 * d + 1) and len(result.min_sets) == 2 * d + 1
+    assert result.gamma == gamma and len(result.min_sets) == sets
     with pytest.raises(WorkLimitExceeded) as exc:
         min_dominating_sets(g, d, node_limit=nodes - 1)
     assert exc.value.examined == nodes
