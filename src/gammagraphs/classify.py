@@ -72,8 +72,10 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import CheckedRecord, UnsupportedSizeError
 from .graphs import (
+    CANONICAL_FORM_MAX_VERTICES,
     Graph,
     _default_names,
+    _induced_masks,
     _twins_before,
     canonical_form,
     canonical_word,
@@ -272,10 +274,7 @@ def _connected_deletions(adj: tuple[int, ...]) -> Iterator[Masks]:
     the deleted one shifted down by one."""
     for v in range(len(adj)):
         if _connected_without(adj, v):
-            below = (1 << v) - 1
-            yield len(adj) - 1, tuple(
-                (m & below) | ((m >> (v + 1)) << v) for u, m in enumerate(adj) if u != v
-            )
+            yield len(adj) - 1, _induced_masks(adj, [u for u in range(len(adj)) if u != v])
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
@@ -520,11 +519,13 @@ class _Records:
         g's parts (see `_parts`).
 
         g is searched only when no part carries a witness.  Its parts are
-        read first, except while no class on g.n - 1 vertices is known: then
-        g is searched first, and a labellable g needs no canonical form.
+        read first, except while no class on g.n - 1 vertices is known or
+        such a class is too large for a canonical form: then g is searched
+        first, and a labellable g needs no canonical form.  So a batch's
+        verdict on a labellable g does not depend on what else it holds.
         """
         own = None
-        if g.n - 1 not in self.orders:
+        if g.n - 1 not in self.orders or g.n - 1 > CANONICAL_FORM_MAX_VERTICES:
             own = decide_labellable(g, self.budget)
             if own.status == LABELLABLE:
                 return (LABELLABLE, None), own, []
@@ -568,7 +569,7 @@ def _parts(g: Graph) -> list[Masks]:
     connected proper induced subgraph of g lies in one of them."""
     comps = connected_components(g)
     if len(comps) > 1:
-        return [(len(comp), induced_subgraph(g, comp).adj) for comp in comps]
+        return [(len(comp), _induced_masks(g.adj, comp)) for comp in comps]
     return list(_connected_deletions(g.adj))
 
 

@@ -55,13 +55,14 @@ reducing order of Cuthill and McKee ("Reducing the bandwidth of sparse
 symmetric matrices", 1969): each component starts at its least-degree
 unvisited vertex (the lowest index on a tie) and neighbours are queued in
 index order.  Larger graphs are searched as numbered (see
-`_RENUMBER_MAX_VERTICES`).  Each cover is mapped back to the caller's
-numbering, so the output does not depend on the renumbering.
+`_RENUMBER_MAX_VERTICES`).
 
-The covers are sorted as index tuples, so the minimum sets come out in
-lexicographic order.  Every search node, at every size from b on, counts
-against the node limit; on a renumbered graph these are the nodes of the
-renumbered search.
+The search returns its covers in its own numbering and in the order it
+finds them.  `min_dominating_sets` maps each back to the caller's numbering
+and sorts them once, as index tuples, so the minimum sets come out in
+lexicographic order whatever the renumbering.  Every search node, at every
+size from b on, counts against the node limit; on a renumbered graph these
+are the nodes of the renumbered search.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
-from .graphs import Graph, _neighbour_lists
+from .graphs import Graph, _induced_masks, _neighbour_lists
 
 # The largest graph the cover search renumbers breadth first.  The renumbering
 # costs two steps per edge on n-bit masks.  On the nine 292-1402-vertex
@@ -133,12 +134,12 @@ def is_distance_d_dominating(g: Graph, s, d: int) -> bool:
 
 
 def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, ...]]:
-    """Every minimum set of vertices whose balls cover `full`, as sorted index
-    tuples in lexicographic order (see the module docstring).  The stack is
-    explicit, so the depth is not bounded by the interpreter's recursion
-    limit.  A node with one pick left is settled by `close`, and the children
-    of a node with two picks left by `settle`, each still counted as one
-    node, so neither takes a stack frame.
+    """Every minimum set of vertices whose balls cover `full`, as index tuples
+    in pick order, unsorted, in the order the search finds them (see the
+    module docstring).  The stack is explicit, so the depth is not bounded by
+    the interpreter's recursion limit.  A node with one pick left is settled
+    by `close`, and the children of a node with two picks left by `settle`,
+    each still counted as one node, so neither takes a stack frame.
     """
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -184,7 +185,7 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
             rest ^= low
         while last:
             low = last & -last
-            covers.append(tuple(sorted([*chosen, low.bit_length() - 1])))
+            covers.append((*chosen, low.bit_length() - 1))
             last ^= low
 
     def settle(uncovered: int, forbidden: int, options: int) -> None:
@@ -282,7 +283,6 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
                 stack.append([covered, forbidden, options])
             else:
                 chosen.pop()
-    covers.sort()
     return covers
 
 
@@ -297,35 +297,24 @@ def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) 
     """The complete family of minimum distance-d dominating sets, in
     lexicographic order as sorted index tuples.
 
-    A graph on at most 64 vertices is searched in its breadth-first order,
-    and the covers are mapped back (see the module docstring); node_limit
-    then counts the nodes of that renumbered search.  Larger graphs are
-    searched as numbered: on the ones `realize` builds the renumbering cost
-    about as much as the search and added nodes (`_RENUMBER_MAX_VERTICES`).
+    A graph on at most 64 vertices is searched in its breadth-first order
+    (see the module docstring); node_limit then counts the nodes of that
+    renumbered search.  Larger graphs are searched as numbered: on the ones
+    `realize` builds the renumbering cost about as much as the search and
+    added nodes (`_RENUMBER_MAX_VERTICES`).  Either way the search's covers
+    are mapped back to g's numbering and sorted once, here.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no dominating sets")
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
-    full = (1 << g.n) - 1
     if g.n > _RENUMBER_MAX_VERTICES:
-        covers = _minimum_covers(distance_balls(g, d), full, node_limit)
+        order = range(g.n)
     else:
         order = _breadth_first_order(g.adj)
-        position = [0] * g.n
-        for i, v in enumerate(order):
-            position[v] = i
-        adj = []
-        for v in order:
-            mask = 0
-            rest = g.adj[v]
-            while rest:
-                low = rest & -rest
-                mask |= 1 << position[low.bit_length() - 1]
-                rest ^= low
-            adj.append(mask)
-        renumbered = _minimum_covers(distance_balls(g._replace(adj=adj), d), full, node_limit)
-        covers = sorted(tuple(sorted(order[i] for i in cover)) for cover in renumbered)
+        g = g._replace(adj=_induced_masks(g.adj, order))
+    found = _minimum_covers(distance_balls(g, d), (1 << g.n) - 1, node_limit)
+    covers = sorted(tuple(sorted(order[i] for i in c)) for c in found)
     return DominationResult(d, len(covers[0]), tuple(frozenset(c) for c in covers))
 
 

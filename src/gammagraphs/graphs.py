@@ -131,17 +131,27 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     for v in verts:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex index {v} out of range for n={g.n}")
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for v in verts:
-        rest = g.adj[v]
+    return Graph(len(verts), _induced_masks(g.adj, verts), tuple(g.names[v] for v in verts))
+
+
+def _induced_masks(adj, vertices) -> tuple[int, ...]:
+    """The neighbour masks of the subgraph of `adj` induced on `vertices`, a
+    sequence of distinct indices, with vertices[i] numbered i."""
+    position = [0] * len(adj)
+    inside = 0
+    for i, v in enumerate(vertices):
+        position[v] = i
+        inside |= 1 << v
+    out = []
+    for v in vertices:
+        mask = 0
+        rest = adj[v] & inside
         while rest:
             low = rest & -rest
-            u = low.bit_length() - 1
+            mask |= 1 << position[low.bit_length() - 1]
             rest ^= low
-            if u in pos:
-                adj[pos[v]] |= 1 << pos[u]
-    return Graph(len(verts), tuple(adj), tuple(g.names[v] for v in verts))
+        out.append(mask)
+    return tuple(out)
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DEFAULT_NODE_LIMIT, CheckedRecord, WorkLimitExceeded
-from .graphs import Graph, cartesian_product
+from .graphs import Graph, _induced_masks, cartesian_product
 
 
 class Labelling(CheckedRecord, namedtuple("Labelling", "k labels")):
@@ -179,17 +179,8 @@ def _search_order(g: Graph):
         placed |= 1 << best
         order.append(best)
 
-    position = [0] * n
-    for i, v in enumerate(order):
-        position[v] = i
     # pos_adj[i]: the positions adjacent to position i
-    pos_adj = [0] * n
-    for i, v in enumerate(order):
-        rest = adj[v]
-        while rest:
-            low = rest & -rest
-            pos_adj[i] |= 1 << position[low.bit_length() - 1]
-            rest ^= low
+    pos_adj = _induced_masks(adj, order)
     parent_pos = [0] * n
     adj_pos = [0] * n
     p3_pair: list[tuple[int, int] | None] = [None] * n

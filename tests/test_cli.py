@@ -287,6 +287,25 @@ class TestClassify:
         (verdict,) = doc["verdicts"].values()
         assert verdict["k_bound"] == 6
 
+    def test_batch_beyond_canonical_forms(self, tmp_path, capsys):
+        # path(17) and path(18): canonical forms stop at 16 vertices, so the
+        # 18-vertex graph is searched before its 17-vertex deletions are read
+        paths = ["PhCGGC@?G?_@?@??_?G?@??C", "QhCGGC@?G?_@?@??_?G?@??C??G"]
+        path = tmp_path / "paths.g6"
+        path.write_text("\n".join(paths) + "\n")
+        code, doc = _run_json(capsys, ["classify", "--in", str(path)])
+        assert code == 0
+        assert {w: v["status"] for w, v in doc["verdicts"].items()} == dict.fromkeys(paths, "labellable")
+
+    def test_unlabellable_batch_beyond_canonical_forms_is_usage_error(self, tmp_path, capsys):
+        # K_{2,3} with a 13-vertex tail: unlabellable, so its deletions need forms
+        path = tmp_path / "tail.g6"
+        path.write_text("Q]oGGC@?G?_@?@??_?G?@??C??G\n")
+        assert run(["classify", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: canonical form supports at most 16 vertices, got 17\n"
+
     def test_malformed_file_word_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "batch.g6"
         path.write_text("Bw\nA`\n")

@@ -22,6 +22,7 @@ from gammagraphs.classify import _connected_words
 from gammagraphs.graphs import (
     _canonical_word,
     _equitable_colors,
+    _induced_masks,
     canonical_word,
     graph6_order,
     read_graph6_lines,
@@ -241,6 +242,25 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(make_family("path", 3), [0, 5])
+
+    @pytest.mark.parametrize("shape", ["permutation", "unsorted subset", "one vertex", "empty"])
+    def test_induced_masks_match_edge_set(self, shape):
+        rng = random.Random(f"induced masks {shape}")
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 12), rng.random())
+            vertices = rng.sample(range(g.n), g.n)
+            if shape == "unsorted subset":
+                vertices = vertices[: rng.randint(0, g.n)]
+            elif shape == "one vertex":
+                vertices = vertices[:1]
+            elif shape == "empty":
+                vertices = []
+            edges = {frozenset(e) for e in g.edges()}
+            expected = tuple(
+                sum(1 << j for j, u in enumerate(vertices) if frozenset((u, v)) in edges)
+                for v in vertices
+            )
+            assert _induced_masks(g.adj, vertices) == expected
 
 
 class TestCanonicalForm:
