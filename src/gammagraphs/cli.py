@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 usage or precondition error (an unknown command is
-an argparse usage error, so it exits 2 too), 3 work/node budget exhausted.
+an argparse usage error, so it exits 2 too), 3 work/node budget exhausted,
+141 stdout closed by its reader (`gammagraphs classify --max-n 6 | head -1`;
+141 is what a shell reports for a process killed by SIGPIPE), with nothing
+printed on stderr.
 All documents are emitted as JSON with a stable field order, so identical
 invocations are byte-identical.
 """
@@ -13,6 +16,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .classify import classify, classify_connected, report_summary, report_to_json
@@ -215,13 +219,26 @@ def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        # an OSError, but the reader's doing, not a bad --in or --out path
+        raise
     except (WorkLimitExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, WorkLimitExceeded) else EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the interpreter's own flush
+        # at exit does not fail on the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -42,10 +42,10 @@ def _check_antichain(ground_size: int, members) -> None:
     """Raise ValueError naming the first out-of-range element, or else the
     first member (in member order) that lies in a later one.
 
-    has[e] is the bitmask of the members containing e.  The members inside b
-    are those with no element outside b, all & ~OR(has[e] for e not in b);
-    b is the only one exactly when no member lies in b.  That takes
-    O(members * elements used) big-integer operations instead of O(members²),
+    has[e] is the bitmask of the members containing e.  The members that
+    contain b are AND(has[e] for e in b), every member when b is empty; b is
+    the only one exactly when no other member contains it.  That takes one
+    big-integer operation per element of each member instead of O(members²),
     and the pairwise scan runs only to name the pair once one is known.
     """
     has: dict[int, int] = {}
@@ -56,13 +56,11 @@ def _check_antichain(ground_size: int, members) -> None:
                 raise ValueError(f"element {e} outside ground set [1..{ground_size}]")
             has[e] = has.get(e, 0) | bit
     full = (1 << len(members)) - 1
-    items = list(has.items())
     for i, m in enumerate(members):
-        outside = 0
-        for e, h in items:
-            if e not in m:
-                outside |= h
-        if full & ~outside != 1 << i:
+        containing = full
+        for e in m:
+            containing &= has[e]
+        if containing != 1 << i:
             _raise_first_contained_pair(members)
 
 

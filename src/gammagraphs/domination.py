@@ -32,25 +32,33 @@ b on the root is never pruned, so its pass is made once for every size.
   popcount, still runs first; the packing pass is skipped, as it would cut
   the node only when the intersection is empty.  So no node with no pick
   left is ever visited.
-- A node with two picks left that passes both prunes (the root too when s
-  is 2) settles its children in place rather than handing them back to
-  the stack loop: for each branch vertex v in increasing order it counts
-  the child as one node, volume-prunes it, closes it with v chosen and the
-  earlier siblings forbidden, then forbids v.  The nodes, the order they
-  are counted in and the covers are those of the stack loop; only its
-  frame and call per child are saved.
+- A node with two picks left (the root too when s is 2) that passes the
+  volume prune skips the packing pass as well.  Each of its children
+  closes in a few steps, while the pass walks every uncovered vertex, so
+  on the graphs `realize` builds the pass cost more than it pruned.  Its
+  u is the uncovered vertex with the smallest ball (the lowest on a tie),
+  found through one vertex mask per ball size.  Some vertex is uncovered,
+  as above, and every cover below the node holds a non-forbidden
+  dominator of u.  The node settles its children in place rather than
+  handing them back to the stack loop: for each such dominator v in
+  increasing order it counts the child as one node, volume-prunes it,
+  closes it with v chosen and the earlier siblings forbidden, then forbids
+  v.  Nodes with three or more picks left keep the pass: skipping it at
+  every node made the 6x6 and 7x7 grids 1.3-1.9 times slower at d = 1, and
+  a 60-vertex random tree 2.8 times slower.
 - So each minimum set C is found exactly once: at every node on its path C
-  holds the chosen vertices and no forbidden one, passes both prunes (each
-  is a lower bound that C itself meets), and lies below the branch on the
-  lowest member of C among u's dominators only.  At the node with one pick
-  left the last member of C is one vertex of the intersection, and each
-  vertex of it gives a different set.
+  holds the chosen vertices and no forbidden one, passes the prunes the
+  node makes (each is a lower bound that C itself meets), and lies below
+  the branch on the lowest member of C among u's dominators only.  At the
+  node with one pick left the last member of C is one vertex of the
+  intersection, and each vertex of it gives a different set.
 
-The search reads the vertex numbering in three places: the packing pass
-walks uncovered vertices in index order, the branch vertex is the lowest on
-a tie, and siblings are tried in index order.  A scattered numbering
-scatters the uncovered region and weakens both prunes, so a graph on at
-most 64 vertices is first renumbered breadth first, in the bandwidth-
+The search reads the vertex numbering in four places: the packing pass
+walks uncovered vertices in index order, its branch vertex is the lowest on
+a tie, the branch vertex of a node with two picks left is the lowest of the
+smallest balls, and siblings are tried in index order.  A scattered
+numbering scatters the uncovered region and weakens both prunes, so a graph
+on at most 64 vertices is first renumbered breadth first, in the bandwidth-
 reducing order of Cuthill and McKee ("Reducing the bandwidth of sparse
 symmetric matrices", 1969): each component starts at its least-degree
 unvisited vertex (the lowest index on a tie) and neighbours are queued in
@@ -74,12 +82,12 @@ from .graphs import Graph, _induced_masks, _neighbour_lists
 
 # The largest graph the cover search renumbers breadth first.  The renumbering
 # costs two steps per edge on n-bit masks.  On the nine 292-1402-vertex
-# graphs that `realize` builds (benchmark seed 1, round 0) it took 1.1-5.9 ms
-# each, 0.6-1.4 times the numbered search with its balls, mostly walking the
-# clique core's wide masks (the breadth-first order alone is 0.1-1.0 ms;
+# graphs that `realize` builds (benchmark seed 1, round 0) it took 0.7-5.9 ms
+# each, 0.7-2.8 times the numbered search with its balls, mostly walking the
+# clique core's wide masks (the breadth-first order alone is 0.1-1.6 ms;
 # medians of 7 timings, 2-vCPU host, Python 3.11).  It also added search
-# nodes there: 50 -> 56 on the 292-vertex graph at d = 1, 75 -> 96 on the
-# 1402-vertex graph at d = 3, and 643 -> 780 summed over the nine.  On the
+# nodes there: 50 -> 56 on the 292-vertex graph at d = 1, 81 -> 98 on the
+# 1402-vertex graph at d = 3, and 705 -> 836 summed over the nine.  On the
 # graphs of at most 42 vertices of the `dom_d1` and `dom_far` benchmarks it
 # is about 1% of the search and cuts its nodes by 13% and 40%.
 _RENUMBER_MAX_VERTICES = 64
@@ -144,33 +152,37 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
     nodes = 0
-    # The pass `visit` makes at the root, made once: the root's packing bound
-    # and its branch set.  No size below the bound has a cover, and from the
-    # bound on the root is never pruned, so every size starts from this root.
-    # `size` starts one below the bound, as the loop adds one.  The pass is
-    # not left to `visit`, which would repeat it in full for every size: that
-    # made `min_dominating_sets` 11-17% slower on the `realize` benchmark's
-    # graphs (2-vCPU host).
+    # The packing pass `visit` makes, made once at the root, where every
+    # vertex is uncovered, so it walks `balls` in index order.  No size below
+    # its bound has a cover, and from the bound on the root is never pruned,
+    # so every size starts from this root.  `size` starts one below the
+    # bound, as the loop adds one.  The pass is not left to `visit`, which
+    # would repeat it in full for every size: that made `min_dominating_sets`
+    # 11-17% slower on the `realize` benchmark's graphs (2-vCPU host).
     size = -1
     packed = 0
-    root = 0
-    root_count = len(balls) + 1
-    rest = full
-    while rest:
-        low = rest & -rest
-        dominators = balls[low.bit_length() - 1]
+    for dominators in balls:
         if not dominators & packed:
             size += 1
             packed |= dominators
-        count = dominators.bit_count()
-        if count < root_count:
-            root, root_count = dominators, count
-        rest ^= low
     # reach[j]: the most vertices that j balls can cover, the sum of the j
     # largest ball sizes.
+    counts = [ball.bit_count() for ball in balls]
     reach = [0]
-    for count in sorted((ball.bit_count() for ball in balls), reverse=True):
+    for count in sorted(counts, reverse=True):
         reach.append(reach[-1] + count)
+    # by_size: one mask per ball size, smallest size first, of the vertices
+    # whose balls have that size.  The lowest member of the first mask that
+    # meets the uncovered vertices is the one with the smallest ball (the
+    # lowest on a tie): the branch vertex of a node with two picks left.  At
+    # the root, where nothing is covered or forbidden, it is also the vertex
+    # with the fewest dominators that the packing pass branches on.
+    of_size: dict[int, int] = {}
+    for v, count in enumerate(counts):
+        of_size[count] = of_size.get(count, 0) | 1 << v
+    by_size = [of_size[count] for count in sorted(of_size)]
+    first = by_size[0]
+    root = balls[(first & -first).bit_length() - 1]
 
     def close(uncovered: int, forbidden: int) -> None:
         """Record the covers of a node with one pick left: the chosen vertices
@@ -190,9 +202,10 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
 
     def settle(uncovered: int, forbidden: int, options: int) -> None:
         """Settle the children of a node with two picks left, one per vertex v
-        of `options` in increasing order, as the stack loop would visit them:
-        count each as one node, volume-prune it, close it with v chosen and
-        the earlier siblings forbidden, then forbid v."""
+        of `options`, the non-forbidden dominators of one uncovered vertex, in
+        increasing order, as the stack loop would visit them: count each as
+        one node, volume-prune it, close it with v chosen and the earlier
+        siblings forbidden, then forbid v."""
         nonlocal nodes
         one = reach[1]
         while options:
@@ -212,13 +225,25 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
     def visit(covered: int, forbidden: int) -> int:
         """Count a node below the root with at least two picks left; return
         the vertices to branch on, or 0 for a pruned node or one with two
-        picks left, whose children `settle` handles."""
+        picks left.  Such a node skips the packing pass and hands `settle`
+        the non-forbidden dominators of its uncovered vertex with the
+        smallest ball."""
         nonlocal nodes
         nodes += 1
         if nodes > limit:
             raise WorkLimitExceeded("domination search work limit exceeded", nodes)
         uncovered = full & ~covered
         if uncovered.bit_count() > reach[size - len(chosen)]:
+            return 0
+        if len(chosen) + 2 == size:
+            # Some vertex is uncovered, or a smaller size would have had a
+            # cover; every cover below holds a non-forbidden dominator of it.
+            for mask in by_size:
+                smallest = mask & uncovered
+                if smallest:
+                    break
+            u = (smallest & -smallest).bit_length() - 1
+            settle(uncovered, forbidden, balls[u] & ~forbidden)
             return 0
         allowed = ~forbidden
         # Lower bound: uncovered vertices whose remaining dominators are
@@ -243,10 +268,7 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
             if count < fewest_count:
                 fewest, fewest_count = dominators, count
             rest ^= low
-        if len(chosen) + 2 < size:
-            return fewest
-        settle(uncovered, forbidden, fewest)
-        return 0
+        return fewest
 
     while not covers:
         size += 1

@@ -2,7 +2,10 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -431,6 +434,24 @@ def test_emit_streams_in_bounded_memory(tmp_path):
     # joining the whole text held about 2.4 MB for this 353 KB document
     assert peak < 512 * 1024
     assert path.read_text(encoding="ascii") == json.dumps(doc, indent=2) + "\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # 353 KB report overflows the pipe's buffer, so a later write meets the
+    # closed pipe, which is neither a usage error nor worth an error line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from gammagraphs.cli import main; main()"
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-c", code, src, "classify", "--max-n", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert b"error:" not in err and err == b""
 
 
 class TestCommandSet:

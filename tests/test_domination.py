@@ -152,6 +152,23 @@ class TestOracleAgreement:
                     kept.append(gamma)
         assert set(found[1]) == {4, 5, 6} and set(found[2]) == {4}
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sparse_graphs_with_two_picks_left(self, d):
+        # gamma >= 3 on 9-12 vertices puts many nodes below the root at two
+        # picks left, where the search branches on the non-forbidden
+        # dominators of the undominated vertex with the smallest ball instead
+        # of making the packing pass; each minimum set must come out once
+        rng = random.Random(40 + d)
+        kept = 0
+        while kept < 25:
+            g = _sparse_graph(rng, rng.randint(9, 12))
+            gamma, sets = powerset_min_dominating(g, d)
+            if gamma < 3:
+                continue
+            result = min_dominating_sets(g, d)
+            assert (result.gamma, list(result.min_sets)) == (gamma, sorted(sets, key=sorted))
+            kept += 1
+
 
 def _sparse_graph(rng, n):
     """A relabelled graph on n >= 9 vertices whose one to three components
@@ -312,7 +329,7 @@ def test_sizes_start_at_the_root_packing_bound():
         # numbering rather than breadth first they took 211 and 283
         pytest.param(_relabelled(make_family("cycle", 42), 7), 3, 183, 6, 7, id="42-3-183"),
         pytest.param(_relabelled(make_family("cycle", 40), 7), 2, 146, 8, 5, id="40-2-146"),
-        # the CI's relabelled hypercube(5): 4,193 of its 6,605 nodes are
+        # the CI's relabelled hypercube(5): 6,686 of its 9,098 nodes are
         # children that a node with two picks left settles in place, and each
         # counts as one node whether or not its volume test passes
         pytest.param(
@@ -321,10 +338,10 @@ def test_sizes_start_at_the_root_packing_bound():
                 "@?A?@?`?H??COE?G?GX?@IAA?GPADG???o"
             ),
             1,
-            6605,
+            9098,
             7,
             320,
-            id="cube5-1-6605",
+            id="cube5-1-9098",
         ),
     ],
 )

@@ -127,6 +127,23 @@ class TestVerification:
             for s in min_dominating_sets(r.graph, r.d).min_sets:
                 assert all(v < r.core_size for v in s)
 
+    def test_uniform_families_above_the_renumbering_bound(self):
+        # realizations of more than 64 vertices are searched in their own
+        # numbering, core first, with gamma = k = 3 or 4, so the nodes with
+        # two picks left lie one or two picks below the root
+        rng = random.Random(29)
+        sizes = set()
+        while len(sizes) < 12:
+            k = rng.randint(3, 4)
+            n = rng.randint(k + 2, 8)
+            pool = list(itertools.combinations(range(1, n + 1), k))
+            fam = validate_clutter(n, [frozenset(m) for m in rng.sample(pool, rng.randint(2, 10))])
+            r = realize(fam, rng.randint(1, 3))
+            if r.graph.n <= 64:
+                continue
+            assert verify_realization(r, fam).ok
+            sizes.add((k, r.graph.n))
+
 
 def test_json_document():
     doc = realized_to_json(realize(SMALL, 3), SMALL)
