@@ -111,6 +111,8 @@ def blocker(c: Clutter) -> Clutter:
         for e in m:
             members[i] |= 1 << e
             hits[e] |= 1 << i
+    # misses[e]: the members that do not contain e.
+    misses = [~h for h in hits]
     found = []
     # One frame per set on the current path: [chosen, private, unhit,
     # forbidden, options], where options are the elements of the first
@@ -126,10 +128,11 @@ def blocker(c: Clutter) -> Clutter:
         e = low.bit_length() - 1
         frame[3] = forbidden | low
         frame[4] = options ^ low
-        kept = [p & ~hits[e] for p in private]
-        if not all(kept):
+        miss = misses[e]
+        kept = [p & miss for p in private]
+        if 0 in kept:
             continue
-        rest = unhit & ~hits[e]
+        rest = unhit & miss
         if not rest:
             found.append(frozenset(chosen + (e,)))
             continue

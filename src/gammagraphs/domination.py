@@ -78,18 +78,18 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DEFAULT_NODE_LIMIT, WorkLimitExceeded
-from .graphs import Graph, _induced_masks, _neighbour_lists
+from .graphs import Graph, _induced_masks
 
 # The largest graph the cover search renumbers breadth first.  The renumbering
 # costs two steps per edge on n-bit masks.  On the nine 292-1402-vertex
-# graphs that `realize` builds (benchmark seed 1, round 0) it took 0.7-5.9 ms
-# each, 0.7-2.8 times the numbered search with its balls, mostly walking the
-# clique core's wide masks (the breadth-first order alone is 0.1-1.6 ms;
-# medians of 7 timings, 2-vCPU host, Python 3.11).  It also added search
-# nodes there: 50 -> 56 on the 292-vertex graph at d = 1, 81 -> 98 on the
-# 1402-vertex graph at d = 3, and 705 -> 836 summed over the nine.  On the
-# graphs of at most 42 vertices of the `dom_d1` and `dom_far` benchmarks it
-# is about 1% of the search and cuts its nodes by 13% and 40%.
+# graphs that `realize` builds (benchmark seed 1, round 0) it took 0.8-4.0 ms
+# each, 1.0-2.9 times the numbered search with its balls, mostly walking the
+# clique core's wide masks (the breadth-first order alone is 0.1-1.0 ms;
+# medians of 7 timings, then of 3 runs, 2-vCPU host, Python 3.11).  It also
+# added search nodes there: 50 -> 56 on the 292-vertex graph at d = 1,
+# 81 -> 98 on the 1402-vertex graph at d = 3, and 705 -> 836 summed over the
+# nine.  On the graphs of at most 42 vertices of the `dom_d1` and `dom_far`
+# benchmarks it is about 1% of the search and cuts its nodes by 13% and 40%.
 _RENUMBER_MAX_VERTICES = 64
 
 
@@ -103,21 +103,31 @@ def distance_balls(g: Graph, d: int) -> list[int]:
     """Closed d-ball of each vertex as a bitmask (vertices within distance d).
 
     Built level by level: ball_i(v) is N[v] together with ball_(i-1)(u) for
-    every neighbour u of v, and the levels stop once one adds nothing.
+    every neighbour u of v, and the levels stop once one adds nothing.  The
+    edges are listed once, each from the mask of its lower end, walked
+    inside `mask >> (v + 1)` highest bit first so that every step works on
+    a narrower integer (as `graphs._masks_valid` walks them); each level
+    then makes two ORs per edge, one for each end.
     """
     if d < 1:
         raise ValueError("distance parameter d must be >= 1")
     closed = [g.adj[v] | 1 << v for v in range(g.n)]
     if d == 1:
         return closed
-    nbrs = _neighbour_lists(g.adj)
+    edges = []
+    for v, mask in enumerate(g.adj):
+        base = v + 1
+        above = mask >> base
+        while above:
+            top = above.bit_length() - 1
+            edges.append((v, base + top))
+            above ^= 1 << top
     balls = closed
     for _ in range(d - 1):
-        grown = []
-        for ball, around in zip(closed, nbrs):
-            for u in around:
-                ball |= balls[u]
-            grown.append(ball)
+        grown = closed.copy()
+        for v, u in edges:
+            grown[v] |= balls[u]
+            grown[u] |= balls[v]
         if grown == balls:
             break
         balls = grown
@@ -322,8 +332,9 @@ def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) 
     A graph on at most 64 vertices is searched in its breadth-first order
     (see the module docstring); node_limit then counts the nodes of that
     renumbered search.  Larger graphs are searched as numbered: on the ones
-    `realize` builds the renumbering cost about as much as the search and
-    added nodes (`_RENUMBER_MAX_VERTICES`).  Either way the search's covers
+    `realize` builds the renumbering cost 1.0-2.9 times the search with its
+    balls and added nodes, 705 -> 836 over nine of them
+    (`_RENUMBER_MAX_VERTICES`).  Either way the search's covers
     are mapped back to g's numbering and sorted once, here.
     """
     if g.n == 0:

@@ -26,25 +26,28 @@ def _default_names(n: int) -> tuple[str, ...]:
 def _masks_valid(n: int, adj: tuple[int, ...]) -> bool:
     """Whether the masks stay in range, have no self-loop and are symmetric.
 
-    Each neighbour u above v must list v, which maps the bits above the
-    diagonal one-to-one onto bits below it; equal totals make that map onto,
-    so every bit has its mirror.  Each edge is walked once.
+    `mask >> n` is nonzero for a mask with a bit at n or above, and for a
+    negative one.  Each neighbour u above v must list v, which maps the bits
+    above the diagonal one-to-one onto bits below it; equal totals make that
+    map onto, so every bit has its mirror.  Each edge is walked once, inside
+    `mask >> (v + 1)` and highest bit first: clearing the top bit leaves a
+    narrower integer, so each step costs the width of what is left rather
+    than the full n bits that peeling the lowest bit of the mask would.
     """
-    full = (1 << n) - 1
     upper = total = 0
     for v, mask in enumerate(adj):
-        if mask & ~full or (mask >> v) & 1:
+        if mask >> n or (mask >> v) & 1:
             return False
         bit = 1 << v
-        above = mask >> (v + 1)
+        base = v + 1
+        above = mask >> base
         upper += above.bit_count()
         total += mask.bit_count()
-        rest = above << (v + 1)
-        while rest:
-            low = rest & -rest
-            if not adj[low.bit_length() - 1] & bit:
+        while above:
+            top = above.bit_length() - 1
+            if not adj[base + top] & bit:
                 return False
-            rest ^= low
+            above ^= 1 << top
     return 2 * upper == total
 
 
@@ -312,6 +315,8 @@ def read_graph6_lines(text: str) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 def _neighbour_lists(adj: tuple[int, ...]) -> list[list[int]]:
+    """Each vertex's neighbours in increasing order; `_canonical_word` is
+    the one caller."""
     out = []
     for mask in adj:
         nbrs = []

@@ -401,10 +401,26 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
             ["gamma", "--d", "1", "--graph6", "FhNGW"],
             "3cab7e72a30e4c4f134990a041244fd10fdee4891435b4ed02756d7b7dc998b7",
         ),
+        # the six lines of a 3x3 grid: 15 minimal transversals
+        (
+            ["blocker", "--sets", "123,456,789,147,258,369"],
+            "9fb34a7bfa1c89b85705554b610909f2e528e76e54deac381a65b7ccfc328ee6",
+        ),
+        # 99 and 88 vertices, above the 64 up to which the cover search
+        # renumbers its input; at d = 4 the balls take three growth levels
+        (
+            ["realize", "--d", "3", "--sets", "123,456,789,147,258,369", "--verify"],
+            "889f3a8af524e9b5e960dafcd076b7dd149966e938ab4aa1a5d1be311324d115",
+        ),
+        (
+            ["realize", "--d", "4", "--sets", "1234,5678,1357,2468,1256", "--verify"],
+            "14f2ecb15b2199581c0cd66fe3b64cfa4ca7338ecfe293194087dd4867652adf",
+        ),
     ],
     ids=[
         "max-n-7", "max-n-7-nodes1000", "max-n-7-nodes200", "max-n-7-nodes60", "max-n-7-k3",
         "mixed", "forests", "forests-k3", "glued", "cube5", "demo",
+        "blocker-grid3", "realize-d3-99", "realize-d4-88",
     ],
 )
 def test_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):

@@ -14,9 +14,11 @@ from gammagraphs import (
     make_family,
     min_dominating_sets,
     parse_graph6,
+    validate_clutter,
 )
 from gammagraphs.classify import enumerate_connected_graphs
 from gammagraphs.domination import distance_balls, result_to_json
+from gammagraphs.realizer import realize
 
 from fixtures import domination_demo_graph
 from helpers import all_pairs_distances, permute_graph, powerset_min_dominating, random_graph
@@ -69,6 +71,38 @@ class TestDistanceBalls:
                 for v in range(g.n)
             ]
             assert distance_balls(g, d) == expected
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_wide_graphs_match_all_pairs_distances(self, d):
+        """Graphs above the 64-vertex renumbering bound, whose masks span
+        several digits: realized graphs, seeded sparse ones on 65-200
+        vertices with scattered numbering (one of them disconnected), and
+        one at a radius past its diameter, where the levels stop early."""
+        rng = random.Random(35 + d)
+        lines = validate_clutter(9, [{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 4, 7}, {2, 5, 8}, {3, 6, 9}])
+        cases = [(realize(lines, d).graph, d)]
+        if d == 4:
+            fours = validate_clutter(8, [{1, 2, 3, 4}, {5, 6, 7, 8}, {1, 3, 5, 7}, {2, 4, 6, 8}, {1, 2, 5, 6}])
+            cases.append((realize(fours, d).graph, d))
+        for cut in (0, 40):
+            n = rng.randint(65, 200)
+            # a random tree, cut into components at every multiple of `cut`
+            edges = [(rng.randrange(v), v) for v in range(1, n) if not cut or v % cut]
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(n // 10)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append((permute_graph(Graph.from_edges(n, edges), perm), d))
+        tree = cases[-2][0]
+        tree_distances = all_pairs_distances(tree)
+        cases.append((tree, max(map(tree_distances.eccentricity, range(tree.n))) + 2))
+        for g, radius in cases:
+            assert g.n > 64
+            dm = all_pairs_distances(g)
+            expected = [
+                sum(1 << u for u in range(g.n) if dm.dist(v, u) is not None and dm.dist(v, u) <= radius)
+                for v in range(g.n)
+            ]
+            assert distance_balls(g, radius) == expected
 
     def test_d_below_one_rejected(self):
         with pytest.raises(ValueError, match="d must be >= 1"):

@@ -23,6 +23,7 @@ from gammagraphs.graphs import (
     _canonical_word,
     _equitable_colors,
     _induced_masks,
+    _masks_valid,
     canonical_word,
     graph6_order,
     read_graph6_lines,
@@ -84,6 +85,49 @@ def test_mask_checks_match_pairwise_scan():
             with pytest.raises(ValueError) as err:
                 Graph(n, tuple(adj), tuple(str(v) for v in range(n)))
             assert str(err.value) == expected
+
+
+def test_mask_checks_on_wide_and_negative_masks():
+    """Seeded masks on 65-300 vertices, so each spans several digits: the
+    mask check and Graph accept exactly the symmetric loop-free masks, and
+    Graph names the first fault in vertex order.  The faults are a bit
+    flipped above the diagonal with another flipped below it (equal totals,
+    so only the walk can catch them), a bit at exactly n, a bit far above
+    n, and negative masks, some of them no wider than n bits."""
+    rng = random.Random(35)
+    accepted = out_of_range = asymmetric = 0
+    for trial in range(48):
+        n = rng.randint(65, 300)
+        adj = list(random_graph(rng, n, rng.choice([0.02, 0.1, 0.5])).adj)
+        v = rng.randrange(n)
+        kind = trial % 6
+        if kind == 1 or (kind > 1 and trial % 12 > 6):
+            u, w = sorted(rng.sample(range(n), 2))
+            x, y = sorted(rng.sample(range(n), 2))
+            adj[u] ^= 1 << w
+            adj[y] ^= 1 << x
+        if kind == 2:
+            adj[v] |= 1 << n
+        elif kind == 3:
+            adj[v] |= 1 << rng.randint(n + 64, 4 * n)
+        elif kind == 4:
+            # negative, with the same n low bits: no wider than n bits
+            adj[v] -= 1 << n
+        elif kind == 5:
+            adj[v] = -adj[v] or -2
+        expected = first_adjacency_fault(n, adj)
+        # the one-pass check alone decides validity, before any error is named
+        assert _masks_valid(n, tuple(adj)) is (expected is None)
+        if expected is None:
+            Graph(n, tuple(adj), tuple(str(v) for v in range(n)))
+            accepted += 1
+        else:
+            with pytest.raises(ValueError) as err:
+                Graph(n, tuple(adj), tuple(str(v) for v in range(n)))
+            assert str(err.value) == expected
+            out_of_range += expected.endswith("leaves the vertex range")
+            asymmetric += expected.startswith("adjacency is not symmetric")
+    assert accepted and out_of_range and asymmetric
 
 
 class TestGraph6:
