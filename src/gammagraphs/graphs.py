@@ -19,7 +19,10 @@ CANONICAL_FORM_MAX_VERTICES = 16
 GRAPH6_MAX_VERTICES = 62
 
 
+@functools.lru_cache(maxsize=None)
 def _default_names(n: int) -> tuple[str, ...]:
+    """The names "1".."n", one shared tuple per n: a tuple of strings is
+    immutable, so every default-named graph of one order can hold the same."""
     return tuple(str(i + 1) for i in range(n))
 
 
@@ -99,13 +102,22 @@ class Graph(CheckedRecord, namedtuple("Graph", "n adj names")):
         return Graph(n, adj, names or _default_names(n))
 
     def edges(self) -> list[tuple[int, int]]:
+        """Each edge once as (v, u) with v < u, in ascending order.
+
+        Each vertex's bits above the diagonal are walked inside
+        `adj[v] >> (v + 1)` highest first, as in `_masks_valid`, and its run
+        is then reversed into ascending order."""
         out = []
-        for v in range(self.n):
-            rest = self.adj[v] >> (v + 1)
-            while rest:
-                low = rest & -rest
-                out.append((v, v + 1 + low.bit_length() - 1))
-                rest ^= low
+        for v, mask in enumerate(self.adj):
+            base = v + 1
+            above = mask >> base
+            run = []
+            while above:
+                top = above.bit_length() - 1
+                run.append((v, base + top))
+                above ^= 1 << top
+            run.reverse()
+            out += run
         return out
 
     @property
@@ -315,7 +327,7 @@ def read_graph6_lines(text: str) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 def _neighbour_lists(adj: tuple[int, ...]) -> list[list[int]]:
-    """Each vertex's neighbours in increasing order; `_canonical_word` is
+    """Each vertex's neighbours in increasing order; `_canonical_search` is
     the one caller."""
     out = []
     for mask in adj:
@@ -393,12 +405,14 @@ def _twins_before(adj: tuple[int, ...]) -> list[int]:
     return twins_before
 
 
-@functools.lru_cache(maxsize=200_000)
-def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
-    """graph6 bytes of the lexicographically minimal upper-triangle bit string
-    over all orderings consistent with the equitable colouring (vertices
-    sorted by colour).  The bits come in graph6's own order, (0,1),(0,2),
-    (1,2),(0,3),...
+def _canonical_search(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """The canonical word of the graph with neighbour masks `adj`, and the
+    automorphisms of its canonical graph that the search met.
+
+    The word is the graph6 bytes of the lexicographically minimal
+    upper-triangle bit string over all orderings consistent with the
+    equitable colouring (vertices sorted by colour).  The bits come in
+    graph6's own order, (0,1),(0,2),(1,2),(0,3),...
 
     Position p's bits toward positions 0..p-1 are kept as one integer row,
     position i at bit n-1-i, so rows of one position compare as their bit
@@ -413,6 +427,16 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     permutation of a twin class is an automorphism, so sorting every class
     into index order maps each ordering to one with the same bit string, and
     the minimum over the orderings left is the minimum over all.
+
+    Automorphisms: a path is pruned only where a row is strictly larger than
+    the best's, and the best only falls, so every ordering left by the twin
+    rule that attains the final word reaches a leaf.  Each leaf that ties the
+    best is recorded, and the list is cleared whenever the best improves.
+    An ordering o that ties the best ordering b gives the permutation
+    p -> b^-1(o(p)) of canonical positions, an automorphism of the canonical
+    graph; these are returned, one per tie, in the order met.  They need not
+    generate the whole group: the twin rule leaves out the orderings that
+    differ by permuting twins.
     """
     nbrs = _neighbour_lists(adj)
     colors = _equitable_colors(adj)
@@ -424,7 +448,10 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
     twins_before = _twins_before(adj)
 
     best: list[int] = []
+    best_order: list[int] = []
+    ties: list[list[int]] = []  # the orderings met that tie best_order
     rows = [0] * n
+    order = [0] * n
     reach = [0] * n
 
     def dfs(pos: int, unplaced: int, tight: bool) -> bool:
@@ -433,8 +460,11 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
         # this path, which makes the path tight from then on.
         if pos == n:
             if tight:
+                ties.append(order[:])
                 return False
             best[:] = rows
+            best_order[:] = order
+            ties.clear()
             return True
         improved = False
         bit = 1 << (n - 1 - pos)
@@ -445,6 +475,7 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
             if tight and row > best[pos]:
                 continue
             rows[pos] = row
+            order[pos] = v
             for u in nbrs[v]:
                 reach[u] |= bit
             if dfs(pos + 1, unplaced ^ (1 << v), tight and row == best[pos]):
@@ -454,7 +485,25 @@ def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
         return improved
 
     dfs(0, (1 << n) - 1, False)
-    return _pack_graph6(n, best)
+    position = [0] * n
+    for p, v in enumerate(best_order):
+        position[v] = p
+    automorphisms = tuple(tuple(position[v] for v in tie) for tie in ties)
+    return _pack_graph6(n, best), automorphisms
+
+
+@functools.lru_cache(maxsize=200_000)
+def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
+    """The word of `_canonical_search`, cached.
+
+    `canonical_form` and `canonical_word` read it, and through them the
+    witness scan, `_Records` and the forms a `classify_connected` walk gives
+    its unlabellable and undecided graphs; the witness scan and `_Records`
+    meet the same masks again.  The enumeration (`classify._connected_words`)
+    calls the search itself: no child is built twice, so its entries would
+    only push out the others (at n <= 9 they filled all 200,000).
+    """
+    return _canonical_search(n, adj)[0]
 
 
 def canonical_word(n: int, adj: tuple[int, ...]) -> bytes:

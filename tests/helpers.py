@@ -361,6 +361,15 @@ def oracle_canonical_word(n: int, adj) -> bytes:
     return bytes([63 + n] + [63 + int("".join(map(str, c)), 2) for c in chunks])
 
 
+def graph6_edges(word: bytes) -> set[tuple[int, int]]:
+    """The edges (i, j), i < j, of a short-form graph6 word, read bit by bit
+    in graph6's column order (0,1),(0,2),(1,2),(0,3),..."""
+    n = word[0] - 63
+    bits = [(byte - 63) >> shift & 1 for byte in word[1:] for shift in range(5, -1, -1)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return {pair for pair, bit in zip(pairs, bits) if bit}
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

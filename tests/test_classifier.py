@@ -41,7 +41,7 @@ from gammagraphs.classify import (
     report_summary,
     report_to_json,
 )
-from gammagraphs.graphs import canonical_word
+from gammagraphs.graphs import _canonical_word, canonical_word
 from gammagraphs.labelling import labelling_to_json
 
 from fixtures import (
@@ -50,6 +50,7 @@ from fixtures import (
 )
 from helpers import (
     all_graphs_on,
+    graph6_edges,
     is_connected,
     oracle_blocks,
     oracle_minimum_k,
@@ -101,24 +102,52 @@ class TestEnumeration:
         assert canonical_form(g).decode() in _enumerated_words(n)
 
     def test_canonical_forms_computed_by_enumeration(self, monkeypatch):
-        # only children whose new vertex is a largest non-cut vertex, and whose
+        # only children whose new vertex is a largest non-cut vertex, whose
         # neighbourhood meets each twin class of the parent in its first
-        # members, get a form (without the twin rule it would be 1699)
-        real = classify_module.canonical_word
+        # members, and which no recorded automorphism of the parent maps to
+        # a smaller mask, get a form (1354 without the orbit rule, 1699
+        # without the twin rule either)
+        real = classify_module._canonical_search
         calls = []
 
         def counting(n, adj):
             calls.append(n)
             return real(n, adj)
 
-        monkeypatch.setattr(classify_module, "canonical_word", counting)
+        monkeypatch.setattr(classify_module, "_canonical_search", counting)
         counts = []
         for _ in range(2):
             calls.clear()
             classify_module._connected_words.cache_clear()
             classify_module._connected_words(7)
             counts.append(len(calls))
-        assert counts == [1354, 1354]
+        assert counts == [1047, 1047]
+
+    def test_eight_vertex_enumeration_pinned(self):
+        # OEIS A001349 up to 8 vertices; past n = 7, where the built-in
+        # bound stops, only this pin checks that the orbit rule loses no class
+        classify_module._connected_words.cache_clear()
+        counts = [len(classify_module._connected_words(n)) for n in range(1, 9)]
+        assert counts == [1, 1, 2, 6, 21, 112, 853, 11117]
+
+    def test_enumeration_leaves_the_form_cache_alone(self):
+        _canonical_word.cache_clear()
+        classify_module._connected_words.cache_clear()
+        classify_module._connected_words(7)
+        assert _canonical_word.cache_info().currsize == 0
+
+    def test_parents_keep_only_recorded_automorphisms(self):
+        # 337 of the 996 words on at most 7 vertices keep any
+        kept = 0
+        for n in range(1, 8):
+            level = classify_module._connected_words(n)
+            for word, automorphisms in level.automorphisms.items():
+                assert word in level and automorphisms
+                edges = graph6_edges(word.encode("ascii"))
+                for perm in automorphisms:
+                    assert {tuple(sorted((perm[i], perm[j]))) for i, j in edges} == edges
+            kept += len(level.automorphisms)
+        assert kept == 337
 
     def test_outranked_children_fail_the_full_test(self):
         # every connected parent on at most six vertices with every nonempty
@@ -689,8 +718,9 @@ class TestClassifyConnected:
     def test_work_counted(self, monkeypatch):
         # 425 decisions make 198 searches of 176 distinct blocks, each
         # proper block once per run (333 searches without the memo); the
-        # enumeration's pre-test leaves 2019 children for the full
-        # canonical-deletion test (5299 without it)
+        # enumeration's pre-test and orbit rule leave 1593 children for the
+        # full canonical-deletion test (2019 without the orbit rule, 5299
+        # without either)
         searches, deletion_tests = [], []
         real_search = classify_module.find_labelling
         real_test = classify_module._largest_non_cut_vertex_is_last
@@ -712,7 +742,7 @@ class TestClassifyConnected:
             report = classify_connected(7)
             assert report.counts[LABELLABLE] + report.counts[MINIMALLY_UNLABELLABLE] == 425
             assert len(searches) == 198 and len(set(searches)) == 176
-            assert len(deletion_tests) == 2019
+            assert len(deletion_tests) == 1593
 
     def test_no_deletion_is_read_without_an_undecided_class(self, monkeypatch):
         def forbidden(adj):

@@ -353,6 +353,10 @@ FOREST_BATCH = ["HhCGGC@", "Esa?", "IiC?GCA??", "HxCI??@", "Gl?GWC", "E???"]
 # blocks glued at a shared cut vertex: the bowtie, a windmill of three
 # triangles, a C4 and a triangle sharing a vertex, and the claw
 GLUED_BATCH = ["D{c", "F{eCG", "ElaG", "Cs"]
+# vertex-transitive and wheel inputs, whose form searches record many
+# automorphisms: hypercube(3), K_{3,3}, the Petersen graph, C_8, prism(4)
+# and the 6-wheel
+SYMMETRIC_BATCH = ["Gr`HOk", "EFz_", "IheA@GUAo", "GhCGKC", "Gl`HGs", "Ehfw"]
 # hypercube(5), relabelled: gamma 7 and 320 minimum sets
 CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G?GX?@IAA?GPADG???o"
 
@@ -394,6 +398,10 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
             "c61fe640f220f7353d017e1106fbde6141baa20a44501b46777e4c71c6b8deb2",
         ),
         (
+            ["classify", "--in", "symmetric.g6"],
+            "dbda97b95837b152c3720fc3011287dd25df415892078f5f6919c3c447432013",
+        ),
+        (
             ["gammagraph", "--d", "1", "--graph6", CUBE5_WORD],
             "901c51124927e89d293811c0f828a0c6463660520f9962494f897d343415956a",
         ),
@@ -419,7 +427,7 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
     ],
     ids=[
         "max-n-7", "max-n-7-nodes1000", "max-n-7-nodes200", "max-n-7-nodes60", "max-n-7-k3",
-        "mixed", "forests", "forests-k3", "glued", "cube5", "demo",
+        "mixed", "forests", "forests-k3", "glued", "symmetric", "cube5", "demo",
         "blocker-grid3", "realize-d3-99", "realize-d4-88",
     ],
 )
@@ -428,6 +436,7 @@ def test_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
     (tmp_path / "mixed.g6").write_text("".join(w + "\n" for w in MIXED_BATCH))
     (tmp_path / "forests.g6").write_text("".join(w + "\n" for w in FOREST_BATCH))
     (tmp_path / "glued.g6").write_text("".join(w + "\n" for w in GLUED_BATCH))
+    (tmp_path / "symmetric.g6").write_text("".join(w + "\n" for w in SYMMETRIC_BATCH))
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -20,6 +20,7 @@ from gammagraphs import (
 )
 from gammagraphs.classify import _connected_words
 from gammagraphs.graphs import (
+    _canonical_search,
     _canonical_word,
     _equitable_colors,
     _induced_masks,
@@ -34,6 +35,7 @@ from helpers import (
     all_graphs_on,
     all_pairs_distances,
     first_adjacency_fault,
+    graph6_edges,
     oracle_canonical_word,
     oracle_equitable_colors,
     permute_graph,
@@ -66,6 +68,15 @@ def test_invalid_masks_name_first_fault(n, adj, message):
     with pytest.raises(ValueError) as err:
         Graph(n, adj, tuple(str(v) for v in range(n)))
     assert str(err.value) == message
+
+
+def test_edges_listed_in_ascending_order():
+    """Seeded graphs up to 320 vertices, so that rows span several digits:
+    each edge once as (v, u) with v < u, in ascending order."""
+    rng = random.Random(36)
+    for n, p in [(0, 0.5), (1, 0.5), (2, 1.0), (9, 0.5), (50, 0.1), (200, 0.1), (320, 0.1), (200, 0.5), (70, 0.95)]:
+        g = random_graph(rng, n, p)
+        assert g.edges() == [(v, u) for v in range(n) for u in range(v + 1, n) if g.has_edge(v, u)]
 
 
 def test_mask_checks_match_pairwise_scan():
@@ -142,6 +153,11 @@ class TestGraph6:
     def test_default_names(self):
         g = parse_graph6("Bw")
         assert g.names == ("1", "2", "3")
+
+    def test_default_names_shared(self):
+        # every default-named graph of one order holds the same names tuple
+        assert parse_graph6("Bw").names is parse_graph6("BW").names is make_family("path", 3).names
+        assert parse_graph6("Bw").names is not parse_graph6("C~").names
 
     def test_trailing_newline_tolerated(self):
         assert parse_graph6("Bw\n").adj == parse_graph6("Bw").adj
@@ -426,6 +442,51 @@ class TestCanonicalForm:
     def test_enumerated_words_pinned(self, n, digest):
         words = "\n".join(_connected_words(n)).encode("ascii")
         assert hashlib.sha256(words).hexdigest() == digest
+
+    def test_recorded_automorphisms_fix_the_canonical_graph(self):
+        # each permutation the search records maps the canonical graph onto
+        # itself; the edges are read from the word's bits, not by the package
+        rng = random.Random(36)
+        graphs = [
+            random_graph(rng, rng.randint(1, 10), (0.05, 0.3, 0.5, 0.7, 0.95)[i % 5])
+            for i in range(300)
+        ]
+        families = [("cycle", 8), ("prism", 4), ("wheel", 7), ("complete_bipartite", 3, 3), ("hypercube", 3)]
+        for spec in families:
+            g = make_family(*spec)
+            graphs.append(permute_graph(g, rng.sample(range(g.n), g.n)))
+        recorded = 0
+        for g in graphs:
+            word, automorphisms = _canonical_search(g.n, g.adj)
+            if g.n <= 6:
+                assert word == oracle_canonical_word(g.n, g.adj)
+            edges = graph6_edges(word)
+            identity = tuple(range(g.n))
+            assert len(set(automorphisms)) == len(automorphisms) and identity not in automorphisms
+            for perm in automorphisms:
+                assert sorted(perm) == list(identity)
+                assert {tuple(sorted((perm[i], perm[j]))) for i, j in edges} == edges, (write_graph6(g), perm)
+            recorded += len(automorphisms)
+        assert recorded > 100
+
+    @pytest.mark.parametrize(
+        "g, ties",
+        [
+            (make_family("cycle", 8), 15),
+            (parse_graph6("IheA@GUAo"), 119),
+            (make_family("path", 5), 1),
+            (make_family("complete", 5), 0),
+        ],
+        ids=["C8", "petersen", "P5", "K5"],
+    )
+    def test_every_tie_is_recorded(self, g, ties):
+        # with no twins every automorphism gives a tie: the cycle's 16 and
+        # the Petersen graph's 120 less the best ordering itself, the
+        # path's reversal; K5 is one twin class, so one ordering is met
+        rng = random.Random(37)
+        for _ in range(3):
+            h = permute_graph(g, rng.sample(range(g.n), g.n))
+            assert len(_canonical_search(h.n, h.adj)[1]) == ties
 
     @pytest.mark.parametrize(
         "g",
