@@ -1,76 +1,112 @@
 """Exact distance-d domination: predicates, the domination number, and the
 complete family of minimum distance-d dominating sets.
 
-Closed d-balls are precomputed as bitmasks.  Balls are symmetric, so the
-vertices that can dominate u are exactly the members of u's own ball.  The
-search runs depth first over these masks, once per size s = b, b + 1, ...,
-and stops at the first size with covers: that size is gamma, since a
+Closed d-balls are precomputed as bitmasks.  The cover search finds every
+minimum set of candidate vertices whose balls cover a universe of target
+vertices; both are masks, and every graph but a vertex-transitive one (see
+below) passes all vertices as both.  Balls are symmetric, so the candidates
+that can dominate u are exactly the candidates in u's own ball.  The search
+runs depth first over these masks, once per size s = b, b + 1, ..., and
+stops at the first size with covers: that size is the least, since a
 smaller cover would have been found at a smaller size.  b is the packing
 bound below taken at the root, where nothing is chosen or forbidden; every
 smaller size would be pruned at its root, so those sizes are skipped.  From
 b on the root is never pruned, so its pass is made once for every size.
 
-- A node is pruned by volume when its uncovered vertices outnumber the
-  largest balls left can cover: a cover of size s that extends the chosen
-  vertices adds at most s minus their number, and each added vertex covers
-  at most its own ball, so the uncovered count may not exceed the sum of
-  that many largest ball sizes.  This is one popcount per node.
+- A node is pruned by volume when its uncovered targets outnumber what the
+  best candidates left can cover: a cover of size s that extends the
+  chosen vertices adds at most s minus their number, and each added vertex
+  covers at most the targets in its own ball, so the uncovered count may
+  not exceed the sum of that many largest such counts.  This is one
+  popcount per node.
 - Otherwise a node is pruned when its chosen vertices plus a packing bound
-  exceed s.  The bound counts uncovered vertices whose non-forbidden
+  exceed s.  The bound counts uncovered targets whose non-forbidden
   dominators are pairwise disjoint, since each needs a member of its own.
-  A node is also pruned when some uncovered vertex has no dominator left.
-- The packing pass finds the uncovered vertex u with the fewest
+  A node is also pruned when some uncovered target has no dominator left.
+- The packing pass finds the uncovered target u with the fewest
   non-forbidden dominators (the lowest on a tie).  The node branches on
   each of them, v, in increasing order, and forbids v to the later
   siblings.
 - A node with one pick left (its chosen vertices number s - 1, the root
   too when s is 1) does not branch.  Its covers are its chosen vertices
-  plus each non-forbidden v in the intersection of the balls of its
-  uncovered vertices, as the last member must dominate all of them.  Some
-  vertex is uncovered there, or a smaller size would have had a cover, so
-  no chosen vertex lies in the intersection.  The volume prune, one
-  popcount, still runs first; the packing pass is skipped, as it would cut
-  the node only when the intersection is empty.  So no node with no pick
-  left is ever visited.
+  plus each non-forbidden candidate v in the intersection of the balls of
+  its uncovered targets, as the last member must dominate all of them.
+  Some target is uncovered there, or a smaller size would have had a
+  cover, so no chosen vertex lies in the intersection.  The volume prune,
+  one popcount, still runs first; the packing pass is skipped, as it would
+  cut the node only when the intersection is empty.  So no node with no
+  pick left is ever visited.
 - A node with two picks left (the root too when s is 2) that passes the
   volume prune skips the packing pass as well.  Each of its children
-  closes in a few steps, while the pass walks every uncovered vertex, so
+  closes in a few steps, while the pass walks every uncovered target, so
   on the graphs `realize` builds the pass cost more than it pruned.  Its
-  u is the uncovered vertex with the smallest ball (the lowest on a tie),
-  found through one vertex mask per ball size.  Some vertex is uncovered,
-  as above, and every cover below the node holds a non-forbidden
-  dominator of u.  The node settles its children in place rather than
-  handing them back to the stack loop: for each such dominator v in
-  increasing order it counts the child as one node, volume-prunes it,
-  closes it with v chosen and the earlier siblings forbidden, then forbids
-  v.  Nodes with three or more picks left keep the pass: skipping it at
-  every node made the 6x6 and 7x7 grids 1.3-1.9 times slower at d = 1, and
-  a 60-vertex random tree 2.8 times slower.
-- So each minimum set C is found exactly once: at every node on its path C
-  holds the chosen vertices and no forbidden one, passes the prunes the
+  u is the uncovered target with the fewest dominators (the lowest on a
+  tie; with every vertex a candidate, the smallest ball), found through
+  one target mask per dominator count.  Some target is uncovered, as
+  above, and every cover below the node holds a non-forbidden dominator of
+  u.  The node settles its children in place rather than handing them back
+  to the stack loop: for each such dominator v in increasing order it
+  counts the child as one node, volume-prunes it, closes it with v chosen
+  and the earlier siblings forbidden, then forbids v.  Nodes with three or
+  more picks left keep the pass: skipping it at every node made the 6x6
+  and 7x7 grids 1.3-1.9 times slower at d = 1, and a 60-vertex random tree
+  2.8 times slower.
+- So each minimum cover C is found exactly once: at every node on its path
+  C holds the chosen vertices and no forbidden one, passes the prunes the
   node makes (each is a lower bound that C itself meets), and lies below
   the branch on the lowest member of C among u's dominators only.  At the
   node with one pick left the last member of C is one vertex of the
   intersection, and each vertex of it gives a different set.
 
 The search reads the vertex numbering in four places: the packing pass
-walks uncovered vertices in index order, its branch vertex is the lowest on
-a tie, the branch vertex of a node with two picks left is the lowest of the
-smallest balls, and siblings are tried in index order.  A scattered
-numbering scatters the uncovered region and weakens both prunes, so a graph
-on at most 64 vertices is first renumbered breadth first, in the bandwidth-
-reducing order of Cuthill and McKee ("Reducing the bandwidth of sparse
-symmetric matrices", 1969): each component starts at its least-degree
-unvisited vertex (the lowest index on a tie) and neighbours are queued in
-index order.  Larger graphs are searched as numbered (see
-`_RENUMBER_MAX_VERTICES`).
+walks uncovered targets in index order, its branch vertex is the lowest on
+a tie, the branch vertex of a node with two picks left is the lowest of
+those with the fewest dominators, and siblings are tried in index order.
+A scattered numbering scatters the uncovered region and weakens both
+prunes, so a graph on at most 64 vertices is first renumbered breadth
+first, in the bandwidth-reducing order of Cuthill and McKee ("Reducing the
+bandwidth of sparse symmetric matrices", 1969): each component starts at
+its least-degree unvisited vertex (the lowest index on a tie) and
+neighbours are queued in index order.  Larger graphs are searched as
+numbered (see `_RENUMBER_MAX_VERTICES`).
+
+A vertex-transitive graph is searched through one vertex.  A regular graph
+on more than one vertex, after the renumbering, first gets a transversal of
+automorphisms t_v, each mapping vertex 0 to v (`_schreier_tree`).  When one
+is found, the search covers V - ball(0) from the candidates V - {0}, and
+each such cover C plus vertex 0 is mapped by every t_v; the image is kept
+only when v is its least vertex.  This lists every minimum set once:
+
+1. An automorphism maps each d-ball onto a d-ball, so it maps dominating
+   sets to dominating sets of the same size, minimum sets to minimum sets.
+2. For a minimum set S and any s in S, t_s^-1 maps S to a minimum set
+   through 0.  So minimum sets through 0 exist, and the sets through 0
+   less vertex 0 are exactly the covers of V - ball(0) from V - {0} of
+   size gamma - 1; no smaller cover exists, or it would give a dominating
+   set smaller than gamma.  The search through 0 finds exactly these.
+3. t_v(C) holds v = t_v(0).  So a minimum set S is the image of a set
+   through 0 only under t_v with v in S, and for each v in S the only set
+   through 0 that t_v maps onto S is t_v^-1(S).  Keeping the image only for
+   the least vertex v of S lists S once.
+4. The transversal is built greedily, with no backtracking, and may reach
+   a dead end on a vertex-transitive graph (prism(5) and prism(6) do).
+   Every map it keeps is checked to be an automorphism, so a dead end only
+   sends the graph to the search over every vertex: it costs speed, never
+   a set.
+
+On the relabelled hypercube(5) at d = 1 this cut the search from 9,098 to
+2,874 nodes.  On two relabellings of hypercube(6) it cut it from 3.09 and
+3.08 million nodes to 923,000 and 935,000, and the call became 2.9-3.7
+times faster (interleaved runs on a 2-vCPU host, Python 3.11).
 
 The search returns its covers in its own numbering and in the order it
 finds them.  `min_dominating_sets` maps each back to the caller's numbering
 and sorts them once, as index tuples, so the minimum sets come out in
 lexicographic order whatever the renumbering.  Every search node, at every
 size from b on, counts against the node limit; on a renumbered graph these
-are the nodes of the renumbered search.
+are the nodes of the renumbered search, and on a graph searched through
+vertex 0 those of that search.  Building the transversal, about n * Delta^2
+mask steps for maximum degree Delta, and mapping the covers cost no nodes.
 """
 
 from __future__ import annotations
@@ -151,19 +187,41 @@ def is_distance_d_dominating(g: Graph, s, d: int) -> bool:
     return cover == (1 << g.n) - 1
 
 
-def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, ...]]:
-    """Every minimum set of vertices whose balls cover `full`, as index tuples
-    in pick order, unsorted, in the order the search finds them (see the
-    module docstring).  The stack is explicit, so the depth is not bounded by
+def _minimum_covers(
+    balls: list[int], universe: int, candidates: int, limit: int
+) -> list[tuple[int, ...]]:
+    """Every minimum set of `candidates` whose balls cover `universe`, as
+    index tuples in pick order, unsorted, in the order the search finds them
+    (see the module docstring).  Every vertex of `universe` must have a
+    candidate in its ball; an empty universe has the one empty cover, found
+    without a node.  The stack is explicit, so the depth is not bounded by
     the interpreter's recursion limit.  A node with one pick left is settled
     by `close`, and the children of a node with two picks left by `settle`,
     each still counted as one node, so neither takes a stack frame.
     """
+    if not universe:
+        return [()]
+    n = len(balls)
+    everything = (1 << n) - 1
+    # dominators[u]: the candidates whose balls hold u, as balls are
+    # symmetric.  targets: the vertices to cover, in index order, and rows
+    # their dominators.  With every vertex in both masks (every caller but
+    # the vertex-transitive search) all three are read off `balls` as they
+    # are, never peeled off a wide mask.
+    if candidates == everything:
+        dominators = balls
+    else:
+        dominators = [ball & candidates for ball in balls]
+    if universe == everything:
+        targets, rows = range(n), dominators
+    else:
+        targets = [u for u in range(n) if universe >> u & 1]
+        rows = [dominators[u] for u in targets]
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
     nodes = 0
     # The packing pass `visit` makes, made once at the root, where every
-    # vertex is uncovered, so it walks `balls` in index order.  No size below
+    # target is uncovered, so it walks them in index order.  No size below
     # its bound has a cover, and from the bound on the root is never pruned,
     # so every size starts from this root.  `size` starts one below the
     # bound, as the loop adds one.  The pass is not left to `visit`, which
@@ -171,33 +229,38 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
     # 11-17% slower on the `realize` benchmark's graphs (2-vCPU host).
     size = -1
     packed = 0
-    for dominators in balls:
-        if not dominators & packed:
+    for row in rows:
+        if not row & packed:
             size += 1
-            packed |= dominators
-    # reach[j]: the most vertices that j balls can cover, the sum of the j
-    # largest ball sizes.
-    counts = [ball.bit_count() for ball in balls]
+            packed |= row
+    # reach[j]: the most targets that j candidates can cover, the sum of the
+    # j largest counts of targets in a candidate's ball.
+    counts = [row.bit_count() for row in rows]
+    if universe == everything and candidates == everything:
+        gains = counts
+    else:
+        gains = [(balls[v] & universe).bit_count() for v in range(n) if candidates >> v & 1]
     reach = [0]
-    for count in sorted(counts, reverse=True):
+    for count in sorted(gains, reverse=True):
         reach.append(reach[-1] + count)
-    # by_size: one mask per ball size, smallest size first, of the vertices
-    # whose balls have that size.  The lowest member of the first mask that
-    # meets the uncovered vertices is the one with the smallest ball (the
-    # lowest on a tie): the branch vertex of a node with two picks left.  At
-    # the root, where nothing is covered or forbidden, it is also the vertex
-    # with the fewest dominators that the packing pass branches on.
+    # by_size: one mask per dominator count, smallest count first, of the
+    # targets with that many dominators.  The lowest member of the first mask
+    # that meets the uncovered targets is the one with the fewest dominators
+    # (the lowest on a tie): the branch vertex of a node with two picks left.
+    # At the root, where nothing is covered or forbidden, it is also the
+    # target that the packing pass branches on.
     of_size: dict[int, int] = {}
-    for v, count in enumerate(counts):
-        of_size[count] = of_size.get(count, 0) | 1 << v
+    for u, count in zip(targets, counts):
+        of_size[count] = of_size.get(count, 0) | 1 << u
     by_size = [of_size[count] for count in sorted(of_size)]
     first = by_size[0]
-    root = balls[(first & -first).bit_length() - 1]
+    root = dominators[(first & -first).bit_length() - 1]
 
     def close(uncovered: int, forbidden: int) -> None:
         """Record the covers of a node with one pick left: the chosen vertices
-        plus each non-forbidden vertex whose ball holds every uncovered one."""
-        last = full & ~forbidden
+        plus each non-forbidden candidate whose ball holds every uncovered
+        target."""
+        last = candidates & ~forbidden
         rest = uncovered
         while rest:
             low = rest & -rest
@@ -242,7 +305,7 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         nodes += 1
         if nodes > limit:
             raise WorkLimitExceeded("domination search work limit exceeded", nodes)
-        uncovered = full & ~covered
+        uncovered = universe & ~covered
         if uncovered.bit_count() > reach[size - len(chosen)]:
             return 0
         if len(chosen) + 2 == size:
@@ -253,7 +316,7 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
                 if smallest:
                     break
             u = (smallest & -smallest).bit_length() - 1
-            settle(uncovered, forbidden, balls[u] & ~forbidden)
+            settle(uncovered, forbidden, dominators[u] & ~forbidden)
             return 0
         allowed = ~forbidden
         # Lower bound: uncovered vertices whose remaining dominators are
@@ -266,17 +329,17 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         rest = uncovered
         while rest:
             low = rest & -rest
-            dominators = balls[low.bit_length() - 1] & allowed
-            if not dominators:
+            options = dominators[low.bit_length() - 1] & allowed
+            if not options:
                 return 0
-            if not dominators & packed:
+            if not options & packed:
                 bound += 1
                 if bound > size:
                     return 0
-                packed |= dominators
-            count = dominators.bit_count()
+                packed |= options
+            count = options.bit_count()
             if count < fewest_count:
-                fewest, fewest_count = dominators, count
+                fewest, fewest_count = options, count
             rest ^= low
         return fewest
 
@@ -286,10 +349,10 @@ def _minimum_covers(balls: list[int], full: int, limit: int) -> list[tuple[int, 
         if nodes > limit:
             raise WorkLimitExceeded("domination search work limit exceeded", nodes)
         if size == 1:
-            close(full, 0)
+            close(universe, 0)
             continue
         if size == 2:
-            settle(full, 0, root)
+            settle(universe, 0, root)
             continue
         # One frame per node on the current path that may still branch:
         # [covered, forbidden, branches left].  chosen[i] is the vertex taken
@@ -334,8 +397,22 @@ def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) 
     renumbered search.  Larger graphs are searched as numbered: on the ones
     `realize` builds the renumbering cost 1.0-2.9 times the search with its
     balls and added nodes, 705 -> 836 over nine of them
-    (`_RENUMBER_MAX_VERTICES`).  Either way the search's covers
-    are mapped back to g's numbering and sorted once, here.
+    (`_RENUMBER_MAX_VERTICES`).
+
+    A regular graph whose greedy automorphisms move vertex 0 to every vertex
+    is searched only for the minimum sets through vertex 0, and node_limit
+    counts that search.  Each set C through 0 is mapped by automorphisms
+    t_v, one mapping 0 to v for every vertex v, and the image t_v(C) is kept
+    only when v is its least vertex.  This lists every minimum set exactly
+    once: (1) automorphisms keep d-balls, so they map minimum sets to
+    minimum sets; (2) by transitivity some image of every minimum set
+    passes through 0, so the least covers the search through 0 finds have
+    size gamma - 1 and are exactly the minimum sets through 0 less vertex
+    0; (3) for each v in a minimum set S, t_v^-1(S) is the only set through
+    0 that t_v maps onto S, so keeping only the least v lists S once; (4)
+    an extension that reaches a dead end drops the graph to the search over
+    every vertex, which costs only speed.  Either way the covers are mapped
+    back to g's numbering and sorted once, here.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no dominating sets")
@@ -346,9 +423,120 @@ def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) 
     else:
         order = _breadth_first_order(g.adj)
         g = g._replace(adj=_induced_masks(g.adj, order))
-    found = _minimum_covers(distance_balls(g, d), (1 << g.n) - 1, node_limit)
+    balls = distance_balls(g, d)
+    everything = (1 << g.n) - 1
+    tree = _schreier_tree(g.adj)
+    if tree is None:
+        found = _minimum_covers(balls, everything, everything, node_limit)
+    else:
+        through = _minimum_covers(balls, everything & ~balls[0], everything ^ 1, node_limit)
+        found = _mapped_sets(tree, [(0, *c) for c in through])
     covers = sorted(tuple(sorted(order[i] for i in c)) for c in found)
     return DominationResult(d, len(covers[0]), tuple(frozenset(c) for c in covers))
+
+
+def _schreier_tree(adj: tuple[int, ...]):
+    """A transversal of automorphisms t_v, each mapping vertex 0 to v, one
+    for every vertex v, or None when the graph has one vertex, is not
+    regular, or none is found.
+
+    The generators are found greedily, one per neighbour u of 0 (see
+    `_extend`).  A breadth-first pass from 0 then composes them: a vertex w
+    first reached from v by a generator s gets t_w = s t_v.  The transversal
+    is returned as that tree, (order, parent, via): the vertices in the order
+    reached, and each one's parent v and generator s, so that t_w is read
+    off the path from 0.  It is None when the pass does not reach every
+    vertex.
+    """
+    n = len(adj)
+    degree = adj[0].bit_count()
+    if n == 1 or any(mask.bit_count() != degree for mask in adj):
+        return None
+    # every degree ties, so this order starts at 0
+    order = _breadth_first_order(adj)
+    generators = []
+    rest = adj[0]
+    while rest:
+        low = rest & -rest
+        image = _extend(adj, order, low.bit_length() - 1)
+        if image is not None:
+            generators.append(image)
+        rest ^= low
+    reached = [0]
+    parent = [0] * n
+    via: list = [None] * n
+    seen = 1
+    for v in reached:
+        for image in generators:
+            w = image[v]
+            if not seen >> w & 1:
+                seen |= 1 << w
+                parent[w] = v
+                via[w] = image
+                reached.append(w)
+    if len(reached) < n:
+        return None
+    return reached, parent, via
+
+
+def _extend(adj: tuple[int, ...], order: list[int], u: int) -> list[int] | None:
+    """An automorphism mapping 0 to u, as its list of images, or None at a
+    dead end.
+
+    The vertices are placed in `order`, breadth first from 0.  Each vertex w
+    takes the lowest unused neighbour of the image of its lowest placed
+    neighbour whose adjacency to the images placed so far is that of w to
+    the vertices placed so far.  So the finished map is a bijection that
+    keeps every adjacency and non-adjacency: an automorphism.  There is no
+    backtracking: a vertex with no such image gives up, even when another
+    choice earlier would have led to an automorphism, and so does a vertex
+    with no placed neighbour, which starts another component.
+    """
+    image = [0] * len(adj)
+    image[0] = u
+    placed = 1
+    used = 1 << u
+    for w in order[1:]:
+        rest = adj[w] & placed
+        if not rest:
+            return None
+        options = adj[image[(rest & -rest).bit_length() - 1]] & ~used
+        want = 0
+        while rest:
+            low = rest & -rest
+            want |= 1 << image[low.bit_length() - 1]
+            rest ^= low
+        while options:
+            low = options & -options
+            if adj[low.bit_length() - 1] & used == want:
+                break
+            options ^= low
+        else:
+            return None
+        image[w] = low.bit_length() - 1
+        placed |= 1 << w
+        used |= low
+    return image
+
+
+def _mapped_sets(tree, through: list[tuple[int, ...]]) -> list:
+    """Every minimum set, once, from the minimum sets `through` vertex 0 and
+    the transversal `tree` of `_schreier_tree`: the image t_v(C) of each set
+    C for each vertex v, kept when v is its least vertex.  Each image is
+    mapped from its parent's in the tree, one generator per step."""
+    order, parent, via = tree
+    found: list = []
+    images: list = [None] * len(order)
+    for cover in through:
+        images[0] = cover
+        found.append(cover)
+        for w in order[1:]:
+            image = via[w]
+            mapped = [image[x] for x in images[parent[w]]]
+            images[w] = mapped
+            if min(mapped) == w:
+                found.append(mapped)
+    return found
 
 
 def _breadth_first_order(adj: tuple[int, ...]) -> list[int]:

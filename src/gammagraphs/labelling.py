@@ -12,9 +12,10 @@ verdicts are complete for each k up to the budget.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
-from .errors import DEFAULT_NODE_LIMIT, CheckedRecord, WorkLimitExceeded
+from .errors import DEFAULT_NODE_LIMIT, CheckedRecord, UnsupportedSizeError, WorkLimitExceeded
 from .graphs import Graph, _induced_masks, cartesian_product
 
 
@@ -227,6 +228,10 @@ def find_labelling(g: Graph, budget: SearchBudget | None = None) -> SearchOutcom
     complete search at u - k would have found.  Pruned subtrees hold no
     labelling, so verdicts and found labellings are unchanged.  At the root
     the rule reads k > n - 1, so k >= n costs no nodes.
+
+    The DFS recurses once per placed vertex, so an input that takes it past
+    the interpreter's recursion limit (about 1,000 vertices by default)
+    raises UnsupportedSizeError naming its vertex count.
     """
     if g.n == 0:
         raise ValueError("cannot search the empty graph")
@@ -308,6 +313,11 @@ def find_labelling(g: Graph, budget: SearchBudget | None = None) -> SearchOutcom
             found = rec(1, k)
         except WorkLimitExceeded:
             return SearchOutcome("budget_exhausted", None, k, nodes)
+        except RecursionError:
+            raise UnsupportedSizeError(
+                f"labelling search takes one stack frame per placed vertex; {n} vertices "
+                f"exceed the interpreter's recursion limit ({sys.getrecursionlimit()})"
+            ) from None
         if found:
             by_vertex = [frozenset()] * n
             for pos, v in enumerate(order):

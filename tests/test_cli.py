@@ -47,12 +47,13 @@ class TestGamma:
         assert code == 0 and [d["gamma"] for d in docs] == [1, 1]
 
     def test_file_input_exhaustion_emits_nothing(self, tmp_path, capsys):
-        # cycle(9), the second graph, runs out of budget after K3 was solved
+        # cycle(9), the second graph, runs out of budget after K3 was solved;
+        # both are searched through vertex 0, K3 in no node and cycle(9) in 4
         path = tmp_path / "graphs.g6"
         path.write_text("Bw\nHhCGGE@\n")
-        assert run(["gamma", "--d", "1", "--in", str(path), "--node-limit", "9"]) == 3
+        assert run(["gamma", "--d", "1", "--in", str(path), "--node-limit", "3"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "10 nodes examined" in captured.err
+        assert captured.out == "" and "4 nodes examined" in captured.err
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_node_limit_below_one_is_usage_error(self, capsys, limit):
@@ -71,12 +72,13 @@ class TestGammaGraph:
         assert len(doc["edges"]) == 6
 
     def test_node_limit_exhaustion_exit_code(self, capsys):
-        # cycle(9): the one search, at the root packing bound 3, visits 10 nodes
+        # cycle(9): the one search, through vertex 0 at the root packing
+        # bound 2 of the rest of the cycle, visits 4 nodes
         argv = ["gammagraph", "--d", "1", "--graph6", "HhCGGE@", "--node-limit"]
-        assert run(argv + ["9"]) == 3
+        assert run(argv + ["3"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "10 nodes examined" in captured.err
-        code, doc = _run_json(capsys, argv + ["10"])
+        assert captured.out == "" and "4 nodes examined" in captured.err
+        code, doc = _run_json(capsys, argv + ["4"])
         assert code == 0 and doc["gamma"] == 3 and len(doc["vertices"]) == 3
 
     def test_long_path_output_pinned(self, capsys):
@@ -405,6 +407,13 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
             ["gammagraph", "--d", "1", "--graph6", CUBE5_WORD],
             "901c51124927e89d293811c0f828a0c6463660520f9962494f897d343415956a",
         ),
+        # gamma 2 and 256 sets, each mapped from a set through one vertex;
+        # the digest was taken while every graph was searched over all of
+        # its vertices
+        (
+            ["gammagraph", "--d", "3", "--graph6", CUBE5_WORD],
+            "7d874e89f9e62978e48f07b7c828635ba55c4d21d571483ae0422d396407dbae",
+        ),
         (
             ["gamma", "--d", "1", "--graph6", "FhNGW"],
             "3cab7e72a30e4c4f134990a041244fd10fdee4891435b4ed02756d7b7dc998b7",
@@ -427,7 +436,7 @@ CUBE5_WORD = "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?@?A?@?`?H??COE?G
     ],
     ids=[
         "max-n-7", "max-n-7-nodes1000", "max-n-7-nodes200", "max-n-7-nodes60", "max-n-7-k3",
-        "mixed", "forests", "forests-k3", "glued", "symmetric", "cube5", "demo",
+        "mixed", "forests", "forests-k3", "glued", "symmetric", "cube5", "cube5-d3", "demo",
         "blocker-grid3", "realize-d3-99", "realize-d4-88",
     ],
 )

@@ -1,5 +1,8 @@
+import functools
 import hashlib
+import itertools
 import math
+import operator
 import random
 import sys
 
@@ -17,7 +20,16 @@ from gammagraphs import (
     validate_clutter,
 )
 from gammagraphs.classify import enumerate_connected_graphs
-from gammagraphs.domination import distance_balls, result_to_json
+from gammagraphs.domination import (
+    _RENUMBER_MAX_VERTICES,
+    _breadth_first_order,
+    _minimum_covers,
+    _schreier_tree,
+    distance_balls,
+    result_to_json,
+)
+from gammagraphs.errors import DEFAULT_NODE_LIMIT
+from gammagraphs.graphs import _induced_masks
 from gammagraphs.realizer import realize
 
 from fixtures import domination_demo_graph
@@ -285,6 +297,145 @@ def _assert_distinct_sorted_dominating(g, d, result):
     assert as_tuples == sorted(as_tuples)
 
 
+def _searched(g):
+    """g's neighbour masks in the numbering `min_dominating_sets` searches
+    in, and that numbering: order[i] is the vertex it numbers i."""
+    order = range(g.n) if g.n > _RENUMBER_MAX_VERTICES else _breadth_first_order(g.adj)
+    return _induced_masks(g.adj, order), order
+
+
+def _reference_sets(g, d, node_limit=DEFAULT_NODE_LIMIT):
+    """The minimum sets by the cover search over every vertex, called
+    directly in the numbering `min_dominating_sets` searches in: the search
+    every graph took before vertex-transitive graphs were searched through
+    one vertex."""
+    adj, order = _searched(g)
+    everything = (1 << g.n) - 1
+    balls = distance_balls(g._replace(adj=adj), d)
+    found = _minimum_covers(balls, everything, everything, node_limit)
+    return tuple(frozenset(c) for c in sorted(tuple(sorted(order[i] for i in c)) for c in found))
+
+
+def _circulant(n, jumps):
+    return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, 5 + i) for i in range(5)])
+
+
+# The Frucht graph: cubic, with no automorphism but the identity.
+_FRUCHT = Graph.from_edges(12, [
+    (0, 1), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 8), (3, 4), (3, 9),
+    (4, 5), (4, 9), (5, 6), (5, 10), (6, 10), (7, 11), (8, 9), (8, 11), (10, 11),
+])
+
+
+class TestVertexTransitive:
+    """A regular graph whose greedy automorphisms move vertex 0 to every
+    vertex is searched through vertex 0 and its sets mapped; every other
+    graph takes the cover search over every vertex.  Either way the sets are
+    those of that search, called directly."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make_family("cycle", 9),
+            make_family("cycle", 16),
+            # above the 64 vertices up to which the search renumbers its input
+            make_family("cycle", 65),
+            make_family("hypercube", 3),
+            make_family("hypercube", 4),
+            make_family("hypercube", 5),
+            make_family("complete", 2),
+            make_family("complete", 5),
+            make_family("complete_bipartite", 3, 3),
+            make_family("complete_bipartite", 4, 4),
+            _petersen(),
+            _circulant(11, (1, 2)),
+        ],
+        ids=[
+            "cycle9", "cycle16", "cycle65", "cube3", "cube4", "cube5",
+            "K2", "K5", "K33", "K44", "petersen", "C11_12",
+        ],
+    )
+    def test_transitive_graphs_match_the_full_search(self, g):
+        mapped = 0
+        for seed in range(3):
+            h = _relabelled(g, seed)
+            mapped += _schreier_tree(_searched(h)[0]) is not None
+            for d in (1, 2, 3):
+                assert min_dominating_sets(h, d).min_sets == _reference_sets(h, d)
+        # the greedy extension depends on the numbering; each of these graphs
+        # is searched through one vertex under at least one relabelling
+        assert mapped >= 1
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(10, [(b + v, b + (v + 1) % 5) for b in (0, 5) for v in range(5)]),
+            Graph.from_edges(6, []),
+            _FRUCHT,
+            # vertex-transitive, but the greedy extension reaches a dead end
+            make_family("prism", 5),
+            make_family("prism", 6),
+        ],
+        ids=["two-5-cycles", "edgeless6", "frucht", "prism5", "prism6"],
+    )
+    def test_fall_back_to_the_full_search(self, g):
+        for seed in range(3):
+            h = _relabelled(g, seed)
+            assert _schreier_tree(_searched(h)[0]) is None
+            for d in (1, 2, 3):
+                assert min_dominating_sets(h, d).min_sets == _reference_sets(h, d)
+
+    @pytest.mark.parametrize(
+        "g",
+        [make_family("hypercube", 4), _petersen(), make_family("cycle", 70)],
+        ids=["cube4", "petersen", "cycle70"],
+    )
+    def test_transversal_is_made_of_automorphisms(self, g):
+        adj = _relabelled(g, 5).adj
+        order, parent, via = _schreier_tree(adj)
+        assert sorted(order) == list(range(g.n))
+        transversal = {0: list(range(g.n))}
+        for w in order[1:]:
+            image = via[w]
+            transversal[w] = [image[x] for x in transversal[parent[w]]]
+        for v, t in transversal.items():
+            assert t[0] == v and sorted(t) == list(range(g.n))
+            mapped = [sum(1 << t[u] for u in range(g.n) if adj[x] >> u & 1) for x in range(g.n)]
+            assert mapped == [adj[t[x]] for x in range(g.n)]
+
+    def test_covers_of_part_of_the_vertices(self):
+        # the kernel covers a universe from a set of candidates; brute force
+        # over every subset of the candidates is the reference
+        rng = random.Random(37)
+        checked = 0
+        while checked < 60:
+            g = random_graph(rng, rng.randint(2, 9), rng.choice([0.2, 0.4, 0.6]))
+            d = rng.randint(1, 2)
+            balls = distance_balls(g, d)
+            universe = rng.getrandbits(g.n)
+            candidates = rng.getrandbits(g.n)
+            if any(universe >> u & 1 and not balls[u] & candidates for u in range(g.n)):
+                continue
+            picks = [v for v in range(g.n) if candidates >> v & 1]
+            expected = None
+            for size in range(len(picks) + 1):
+                expected = {
+                    c for c in itertools.combinations(picks, size)
+                    if universe & ~functools.reduce(operator.or_, (balls[v] for v in c), 0) == 0
+                }
+                if expected:
+                    break
+            found = _minimum_covers(balls, universe, candidates, DEFAULT_NODE_LIMIT)
+            assert sorted(tuple(sorted(c)) for c in found) == sorted(expected)
+            checked += 1
+
+
 def test_search_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 50
     result = min_dominating_sets(Graph.from_edges(n, []), 1)
@@ -331,15 +482,21 @@ def test_work_limit_reported():
 
 
 def test_work_limit_counts_search_nodes():
-    # the search starts at the root packing bound, 3 on the 9-cycle, and
-    # visits 10 nodes, each counted once: the root, its 3 branches and their
-    # 6 branches, which have one pick left and settle their covers without
-    # children
+    # the 9-cycle is vertex-transitive, so only the minimum sets through
+    # vertex 0 are searched for: covers of the 6 vertices outside its ball.
+    # The search starts at their root packing bound, 2 = gamma - 1, and
+    # visits 4 nodes, each counted once: the root, which has two picks left,
+    # and the 3 children it settles in place.  Mapping the covers by the
+    # automorphisms costs no nodes.  Over every vertex the search visited 10
+    # nodes: the root, its 3 branches and their 6 branches.
     g = make_family("cycle", 9)
-    result = min_dominating_sets(g, 1, node_limit=10)
+    result = min_dominating_sets(g, 1, node_limit=4)
     assert result.gamma == 3 and len(result.min_sets) == 3
     with pytest.raises(WorkLimitExceeded, match="work limit") as exc:
-        min_dominating_sets(g, 1, node_limit=9)
+        min_dominating_sets(g, 1, node_limit=3)
+    assert exc.value.examined == 4
+    with pytest.raises(WorkLimitExceeded) as exc:
+        _reference_sets(g, 1, node_limit=9)
     assert exc.value.examined == 10
 
 
@@ -355,31 +512,48 @@ def test_sizes_start_at_the_root_packing_bound():
     assert exc.value.examined == 1050
 
 
+_CUBE5 = parse_graph6(
+    "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?"
+    "@?A?@?`?H??COE?G?GX?@IAA?GPADG???o"
+)
+
+
 @pytest.mark.parametrize(
-    "g, d, nodes, gamma, sets",
+    "g, d, nodes, sets",
     [
         # before the volume prune the packing bound alone took 2,960 and
         # 2,554 nodes on these two searches; searched in the relabelled
         # numbering rather than breadth first they took 211 and 283
-        pytest.param(_relabelled(make_family("cycle", 42), 7), 3, 183, 6, 7, id="42-3-183"),
-        pytest.param(_relabelled(make_family("cycle", 40), 7), 2, 146, 8, 5, id="40-2-146"),
+        pytest.param(_relabelled(make_family("cycle", 42), 7), 3, 183, 7, id="42-3-183"),
+        pytest.param(_relabelled(make_family("cycle", 40), 7), 2, 146, 5, id="40-2-146"),
         # the CI's relabelled hypercube(5): 6,686 of its 9,098 nodes are
         # children that a node with two picks left settles in place, and each
         # counts as one node whether or not its volume test passes
-        pytest.param(
-            parse_graph6(
-                "_CGY?CaA???@@E?C?B?_M_?D@DdC??aGAA?@EOO_R@?GCC?GC?"
-                "@?A?@?`?H??COE?G?GX?@IAA?GPADG???o"
-            ),
-            1,
-            9098,
-            7,
-            320,
-            id="cube5-1-9098",
-        ),
+        pytest.param(_CUBE5, 1, 9098, 320, id="cube5-1-9098"),
     ],
 )
-def test_volume_prune_node_counts(g, d, nodes, gamma, sets):
+def test_volume_prune_node_counts(g, d, nodes, sets):
+    # the cover search over every vertex, called directly in the numbering
+    # that `min_dominating_sets` searches in; all three graphs are
+    # vertex-transitive, so `min_dominating_sets` itself searches through
+    # one vertex (below)
+    assert len(_reference_sets(g, d, node_limit=nodes)) == sets
+    with pytest.raises(WorkLimitExceeded) as exc:
+        _reference_sets(g, d, node_limit=nodes - 1)
+    assert exc.value.examined == nodes
+
+
+@pytest.mark.parametrize(
+    "g, d, nodes, gamma, sets",
+    [
+        pytest.param(_relabelled(make_family("cycle", 42), 7), 3, 29, 6, 7, id="42-3-29"),
+        pytest.param(_relabelled(make_family("cycle", 40), 7), 2, 31, 8, 5, id="40-2-31"),
+        pytest.param(_CUBE5, 1, 2874, 7, 320, id="cube5-1-2874"),
+    ],
+)
+def test_search_through_one_vertex_node_counts(g, d, nodes, gamma, sets):
+    # the nodes of the search through vertex 0 that these vertex-transitive
+    # graphs take, against 183, 146 and 9,098 over every vertex (above)
     result = min_dominating_sets(g, d, node_limit=nodes)
     assert result.gamma == gamma and len(result.min_sets) == sets
     with pytest.raises(WorkLimitExceeded) as exc:
@@ -441,15 +615,19 @@ def _search_nodes(g, d):
 
 def test_node_counts_pinned_up_to_six_vertices():
     # every connected graph with n <= 6 at d = 1, 2 (286 searches); when
-    # pinned, each count was checked against a search that tried every size
-    # from 1 and visited the nodes with no pick left: it is that count less
-    # one root visit per size below the root bound and less those visits
+    # first pinned, each count was checked against a search that tried every
+    # size from 1 and visited the nodes with no pick left: it is that count
+    # less one root visit per size below the root bound and less those
+    # visits.  The sum fell from 567 to 539 when vertex-transitive graphs
+    # came to be searched through vertex 0: each regular graph here but
+    # prism(3), on which the greedy extension reaches a dead end, now
+    # finishes under a limit of one node at d = 1 and 2
     counts = tuple(
         _search_nodes(g, d) for n in range(1, 7) for g in enumerate_connected_graphs(n) for d in (1, 2)
     )
-    assert sum(counts) == 567
+    assert sum(counts) == 539
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()
-    assert digest == "14376fb8b16c672db1f0c2565b2bab8d33b8b962ec1fb71aae6240f4d259a874"
+    assert digest == "7b0af402fa205826f28b0dd743111bd1ab632d9ab5b208deed5cc565fd500616"
 
 
 def test_seven_by_seven_grid_within_a_small_budget():

@@ -134,13 +134,14 @@ def test_json_document():
 
 
 def test_node_limit_counts_domination_nodes():
-    # on the 9-cycle the root packing bound is 3 = gamma, and the one
-    # search, at size 3, visits 10 nodes
+    # the 9-cycle is vertex-transitive, so the one search covers the rest of
+    # the cycle from a set through vertex 0: its root packing bound is 2 =
+    # gamma - 1, and the search, at size 2, visits 4 nodes
     g = make_family("cycle", 9)
     with pytest.raises(WorkLimitExceeded) as exc:
-        build_gamma_graph(g, 1, node_limit=9)
-    assert exc.value.examined == 10
-    gg = build_gamma_graph(g, 1, node_limit=10)
+        build_gamma_graph(g, 1, node_limit=3)
+    assert exc.value.examined == 4
+    gg = build_gamma_graph(g, 1, node_limit=4)
     assert gg.gamma == 3 and gg.base.n == 3
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -6,6 +7,7 @@ from gammagraphs import (
     Graph,
     Labelling,
     SearchBudget,
+    UnsupportedSizeError,
     cartesian_product,
     are_isomorphic,
     find_labelling,
@@ -315,6 +317,25 @@ class TestSearch:
             SearchBudget(k_max=0)
         with pytest.raises(ValueError):
             SearchBudget(node_limit=0)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: find_labelling(make_family("path", 300)),
+            lambda: decide_labellable(make_family("cycle", 300), SearchBudget(k_max=2)),
+        ],
+        ids=["find_labelling-path300", "decide_labellable-cycle300"],
+    )
+    def test_past_the_recursion_limit_fails_loudly(self, search):
+        # the search recurses once per placed vertex; past the limit it names
+        # the vertex count rather than raising a bare RecursionError
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            with pytest.raises(UnsupportedSizeError, match="300 vertices"):
+                search()
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestProducts:
