@@ -141,25 +141,13 @@ class ClassificationReport(namedtuple("ClassificationReport", "params verdicts c
 # Connected-graph enumeration (one representative per isomorphism class)
 # ---------------------------------------------------------------------------
 
-class _Level(tuple):
-    """The canonical words of one level of `_connected_words`, in order.
-
-    `automorphisms` maps each word whose form search met automorphisms (see
-    `graphs._canonical_search`) to them, as permutations of the word's
-    canonical positions; words that met none are left out.  They ride on
-    the cached level, so clearing `_connected_words`' cache drops them too.
-    """
-
-    def __new__(cls, words: Iterable[str], automorphisms: dict[str, tuple[tuple[int, ...], ...]]):
-        level = super().__new__(cls, words)
-        level.automorphisms = automorphisms
-        return level
-
-
 @functools.lru_cache(maxsize=None)
-def _connected_words(n: int) -> _Level:
-    """Canonical words of the connected graphs on n vertices, by canonical
-    deletion (McKay, "Isomorph-free exhaustive generation", 1998).
+def _connected_words(n: int) -> tuple[list[str], dict[str, tuple[tuple[int, ...], ...]]]:
+    """Canonical words of the connected graphs on n vertices, in order, by
+    canonical deletion (McKay, "Isomorph-free exhaustive generation", 1998),
+    and the automorphisms their form searches met (see
+    `graphs._canonical_search`): each word that met any maps to them, as
+    permutations of its canonical positions.
 
     Each child is a parent on n - 1 vertices plus a new vertex v with a
     nonempty neighbourhood.  It is kept only when no non-cut vertex has a
@@ -189,19 +177,18 @@ def _connected_words(n: int) -> _Level:
     parent.
 
     Orbit rule: after those two, N is skipped when an automorphism of the
-    parent that its own form search recorded (`_Level.automorphisms`) maps
-    N to a smaller mask, so each parent is extended about once per orbit of
-    neighbourhoods.  Nothing is lost: the least mask of an orbit under the
-    parent's whole automorphism group is never skipped, since every image
-    of it is in the orbit.  It is twin-sorted, since swapping a member with
-    an earlier twin outside it is an automorphism that lowers the mask.  It
-    passes the pre-test and the full test whenever any member of its orbit
-    does.  An automorphism of the parent keeps each vertex's degree and
-    whether it is a cut vertex, and carries N's members onto its image's,
-    which is all the pre-test reads; extended by fixing v it is an
-    isomorphism between the two children that fixes v, which the full test
-    cannot tell apart.  Filtering by only part of the group can only keep
-    more neighbourhoods.
+    parent that its own form search recorded maps N to a smaller mask, so
+    each parent is extended about once per orbit of neighbourhoods.  Nothing
+    is lost: the least mask of an orbit under the parent's whole
+    automorphism group is never skipped, since every image of it is in the
+    orbit.  It is twin-sorted, since swapping a member with an earlier twin
+    outside it is an automorphism that lowers the mask.  It passes the
+    pre-test and the full test whenever any member of its orbit does.  An
+    automorphism of the parent keeps each vertex's degree and whether it is
+    a cut vertex, and carries N's members onto its image's, which is all the
+    pre-test reads; extended by fixing v it is an isomorphism between the
+    two children that fixes v, which the full test cannot tell apart.
+    Filtering by only part of the group can only keep more neighbourhoods.
 
     At n <= 7, 1593 of the 5299 children reach the full test and 1047 get a
     canonical form.  They come from `graphs._canonical_search`, not the
@@ -209,15 +196,15 @@ def _connected_words(n: int) -> _Level:
     forms would only push out the entries the witness scan meets again.
     """
     if n == 1:
-        return _Level((_canonical_search(1, (0,))[0].decode("ascii"),), {})
+        return [_canonical_search(1, (0,))[0].decode("ascii")], {}
     found: dict[str, tuple[tuple[int, ...], ...]] = {}
-    parents = _connected_words(n - 1)
+    parents, recorded = _connected_words(n - 1)
     for word in parents:
         _, parent = graph6_masks(word.encode("ascii"))
         twins = [(1 << u, before) for u, before in enumerate(_twins_before(parent)) if before]
         non_cut = _non_cut_degrees(parent)
         # each automorphism as the image bit of each position
-        images = [[1 << p for p in perm] for perm in parents.automorphisms.get(word, ())]
+        images = [[1 << p for p in perm] for perm in recorded.get(word, ())]
         for nbrs in range(1, 1 << (n - 1)):
             for bit, before in twins:
                 if nbrs & bit and before & ~nbrs:
@@ -233,7 +220,7 @@ def _connected_words(n: int) -> _Level:
                     form, automorphisms = _canonical_search(n, tuple(adj))
                     found.setdefault(form.decode("ascii"), automorphisms)
     words = sorted(found)
-    return _Level(words, {word: found[word] for word in words if found[word]})
+    return words, {word: found[word] for word in words if found[word]}
 
 
 def _moved_lower(images: list[list[int]], nbrs: int) -> bool:
@@ -350,7 +337,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
             f"built-in enumeration stops at n = {ENUMERATION_MAX_VERTICES}; "
             "ingest larger corpora from graph6 files instead"
         )
-    return [parse_graph6(w) for w in _connected_words(n)]
+    return [parse_graph6(w) for w in _connected_words(n)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 complete family of minimum distance-d dominating sets.
 
 Closed d-balls are precomputed as bitmasks.  The cover search finds every
-minimum set of candidate vertices whose balls cover a universe of target
-vertices; both are masks, and every graph but a vertex-transitive one (see
-below) passes all vertices as both.  Balls are symmetric, so the candidates
-that can dominate u are exactly the candidates in u's own ball.  The search
+minimum set of vertices whose balls cover a universe mask of target
+vertices, which holds every vertex on all graphs but a vertex-transitive
+one (see below).  Balls are symmetric, so the vertices that can dominate u,
+its dominators, are exactly those in u's own ball.  The search
 runs depth first over these masks, once per size s = b, b + 1, ..., and
 stops at the first size with covers: that size is the least, since a
 smaller cover would have been found at a smaller size.  b is the packing
@@ -29,7 +29,7 @@ b on the root is never pruned, so its pass is made once for every size.
   siblings.
 - A node with one pick left (its chosen vertices number s - 1, the root
   too when s is 1) does not branch.  Its covers are its chosen vertices
-  plus each non-forbidden candidate v in the intersection of the balls of
+  plus each non-forbidden vertex v in the intersection of the balls of
   its uncovered targets, as the last member must dominate all of them.
   Some target is uncovered there, or a smaller size would have had a
   cover, so no chosen vertex lies in the intersection.  The volume prune,
@@ -41,7 +41,7 @@ b on the root is never pruned, so its pass is made once for every size.
   closes in a few steps, while the pass walks every uncovered target, so
   on the graphs `realize` builds the pass cost more than it pruned.  Its
   u is the uncovered target with the fewest dominators (the lowest on a
-  tie; with every vertex a candidate, the smallest ball), found through
+  tie; with every vertex a target, the smallest ball), found through
   one target mask per dominator count.  Some target is uncovered, as
   above, and every cover below the node holds a non-forbidden dominator of
   u.  The node settles its children in place rather than handing them back
@@ -73,17 +73,19 @@ numbered (see `_RENUMBER_MAX_VERTICES`).
 A vertex-transitive graph is searched through one vertex.  A regular graph
 on more than one vertex, after the renumbering, first gets a transversal of
 automorphisms t_v, each mapping vertex 0 to v (`_schreier_tree`).  When one
-is found, the search covers V - ball(0) from the candidates V - {0}, and
-each such cover C plus vertex 0 is mapped by every t_v; the image is kept
-only when v is its least vertex.  This lists every minimum set once:
+is found, the search covers V - ball(0) from every vertex, and each such
+cover C plus vertex 0 is mapped by every t_v; the image is kept only when v
+is its least vertex.  This lists every minimum set once:
 
 1. An automorphism maps each d-ball onto a d-ball, so it maps dominating
    sets to dominating sets of the same size, minimum sets to minimum sets.
 2. For a minimum set S and any s in S, t_s^-1 maps S to a minimum set
    through 0.  So minimum sets through 0 exist, and the sets through 0
-   less vertex 0 are exactly the covers of V - ball(0) from V - {0} of
-   size gamma - 1; no smaller cover exists, or it would give a dominating
-   set smaller than gamma.  The search through 0 finds exactly these.
+   less vertex 0 are exactly the covers of V - ball(0) of size gamma - 1;
+   no smaller cover exists, or it would give a dominating set smaller than
+   gamma.  Vertex 0 dominates no vertex outside its own ball, so no
+   minimum cover holds it, and the search never picks it: it is in no
+   target's ball.  The search through 0 finds exactly these covers.
 3. t_v(C) holds v = t_v(0).  So a minimum set S is the image of a set
    through 0 only under t_v with v in S, and for each v in S the only set
    through 0 that t_v maps onto S is t_v^-1(S).  Keeping the image only for
@@ -106,7 +108,8 @@ lexicographic order whatever the renumbering.  Every search node, at every
 size from b on, counts against the node limit; on a renumbered graph these
 are the nodes of the renumbered search, and on a graph searched through
 vertex 0 those of that search.  Building the transversal, about n * Delta^2
-mask steps for maximum degree Delta, and mapping the covers cost no nodes.
+mask steps for maximum degree Delta and n^2 list entries, and mapping the
+covers cost no nodes.
 """
 
 from __future__ import annotations
@@ -187,13 +190,10 @@ def is_distance_d_dominating(g: Graph, s, d: int) -> bool:
     return cover == (1 << g.n) - 1
 
 
-def _minimum_covers(
-    balls: list[int], universe: int, candidates: int, limit: int
-) -> list[tuple[int, ...]]:
-    """Every minimum set of `candidates` whose balls cover `universe`, as
-    index tuples in pick order, unsorted, in the order the search finds them
-    (see the module docstring).  Every vertex of `universe` must have a
-    candidate in its ball; an empty universe has the one empty cover, found
+def _minimum_covers(balls: list[int], universe: int, limit: int) -> list[tuple[int, ...]]:
+    """Every minimum set of vertices whose balls cover `universe`, as index
+    tuples in pick order, unsorted, in the order the search finds them (see
+    the module docstring).  An empty universe has the one empty cover, found
     without a node.  The stack is explicit, so the depth is not bounded by
     the interpreter's recursion limit.  A node with one pick left is settled
     by `close`, and the children of a node with two picks left by `settle`,
@@ -203,20 +203,15 @@ def _minimum_covers(
         return [()]
     n = len(balls)
     everything = (1 << n) - 1
-    # dominators[u]: the candidates whose balls hold u, as balls are
-    # symmetric.  targets: the vertices to cover, in index order, and rows
-    # their dominators.  With every vertex in both masks (every caller but
-    # the vertex-transitive search) all three are read off `balls` as they
-    # are, never peeled off a wide mask.
-    if candidates == everything:
-        dominators = balls
-    else:
-        dominators = [ball & candidates for ball in balls]
+    # targets: the vertices to cover, in index order, and rows the vertices
+    # that dominate them, their own balls.  With every vertex in the universe
+    # (every caller but the vertex-transitive search) the rows are `balls` as
+    # it is, read in index order, never peeled off a wide mask.
     if universe == everything:
-        targets, rows = range(n), dominators
+        targets, rows = range(n), balls
     else:
         targets = [u for u in range(n) if universe >> u & 1]
-        rows = [dominators[u] for u in targets]
+        rows = [balls[u] for u in targets]
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
     nodes = 0
@@ -233,13 +228,10 @@ def _minimum_covers(
         if not row & packed:
             size += 1
             packed |= row
-    # reach[j]: the most targets that j candidates can cover, the sum of the
-    # j largest counts of targets in a candidate's ball.
+    # reach[j]: the most targets that j vertices can cover, the sum of the
+    # j largest counts of targets in a vertex's ball.
     counts = [row.bit_count() for row in rows]
-    if universe == everything and candidates == everything:
-        gains = counts
-    else:
-        gains = [(balls[v] & universe).bit_count() for v in range(n) if candidates >> v & 1]
+    gains = counts if universe == everything else [(ball & universe).bit_count() for ball in balls]
     reach = [0]
     for count in sorted(gains, reverse=True):
         reach.append(reach[-1] + count)
@@ -254,13 +246,13 @@ def _minimum_covers(
         of_size[count] = of_size.get(count, 0) | 1 << u
     by_size = [of_size[count] for count in sorted(of_size)]
     first = by_size[0]
-    root = dominators[(first & -first).bit_length() - 1]
+    root = balls[(first & -first).bit_length() - 1]
 
     def close(uncovered: int, forbidden: int) -> None:
         """Record the covers of a node with one pick left: the chosen vertices
-        plus each non-forbidden candidate whose ball holds every uncovered
+        plus each non-forbidden vertex whose ball holds every uncovered
         target."""
-        last = candidates & ~forbidden
+        last = everything & ~forbidden
         rest = uncovered
         while rest:
             low = rest & -rest
@@ -316,7 +308,7 @@ def _minimum_covers(
                 if smallest:
                     break
             u = (smallest & -smallest).bit_length() - 1
-            settle(uncovered, forbidden, dominators[u] & ~forbidden)
+            settle(uncovered, forbidden, balls[u] & ~forbidden)
             return 0
         allowed = ~forbidden
         # Lower bound: uncovered vertices whose remaining dominators are
@@ -329,7 +321,7 @@ def _minimum_covers(
         rest = uncovered
         while rest:
             low = rest & -rest
-            options = dominators[low.bit_length() - 1] & allowed
+            options = balls[low.bit_length() - 1] & allowed
             if not options:
                 return 0
             if not options & packed:
@@ -401,18 +393,10 @@ def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) 
 
     A regular graph whose greedy automorphisms move vertex 0 to every vertex
     is searched only for the minimum sets through vertex 0, and node_limit
-    counts that search.  Each set C through 0 is mapped by automorphisms
-    t_v, one mapping 0 to v for every vertex v, and the image t_v(C) is kept
-    only when v is its least vertex.  This lists every minimum set exactly
-    once: (1) automorphisms keep d-balls, so they map minimum sets to
-    minimum sets; (2) by transitivity some image of every minimum set
-    passes through 0, so the least covers the search through 0 finds have
-    size gamma - 1 and are exactly the minimum sets through 0 less vertex
-    0; (3) for each v in a minimum set S, t_v^-1(S) is the only set through
-    0 that t_v maps onto S, so keeping only the least v lists S once; (4)
-    an extension that reaches a dead end drops the graph to the search over
-    every vertex, which costs only speed.  Either way the covers are mapped
-    back to g's numbering and sorted once, here.
+    counts that search; each set is then mapped by automorphisms, which
+    lists every minimum set exactly once (the four steps of the module
+    docstring).  Either way the covers are mapped back to g's numbering and
+    sorted once, here.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no dominating sets")
@@ -425,28 +409,24 @@ def min_dominating_sets(g: Graph, d: int, node_limit: int = DEFAULT_NODE_LIMIT) 
         g = g._replace(adj=_induced_masks(g.adj, order))
     balls = distance_balls(g, d)
     everything = (1 << g.n) - 1
-    tree = _schreier_tree(g.adj)
-    if tree is None:
-        found = _minimum_covers(balls, everything, everything, node_limit)
-    else:
-        through = _minimum_covers(balls, everything & ~balls[0], everything ^ 1, node_limit)
-        found = _mapped_sets(tree, [(0, *c) for c in through])
+    transversal = _schreier_tree(g.adj)
+    universe = everything if transversal is None else everything & ~balls[0]
+    found = _minimum_covers(balls, universe, node_limit)
+    if transversal is not None:
+        found = _mapped_sets(transversal, [(0, *c) for c in found])
     covers = sorted(tuple(sorted(order[i] for i in c)) for c in found)
     return DominationResult(d, len(covers[0]), tuple(frozenset(c) for c in covers))
 
 
-def _schreier_tree(adj: tuple[int, ...]):
-    """A transversal of automorphisms t_v, each mapping vertex 0 to v, one
-    for every vertex v, or None when the graph has one vertex, is not
-    regular, or none is found.
+def _schreier_tree(adj: tuple[int, ...]) -> list[list[int]] | None:
+    """A transversal of automorphisms: transversal[v] is t_v, mapping vertex
+    0 to v, as its list of images, one for every vertex v.  None when the
+    graph has one vertex, is not regular, or no transversal is found.
 
     The generators are found greedily, one per neighbour u of 0 (see
     `_extend`).  A breadth-first pass from 0 then composes them: a vertex w
-    first reached from v by a generator s gets t_w = s t_v.  The transversal
-    is returned as that tree, (order, parent, via): the vertices in the order
-    reached, and each one's parent v and generator s, so that t_w is read
-    off the path from 0.  It is None when the pass does not reach every
-    vertex.
+    first reached from v by a generator s gets t_w = s t_v.  The result is
+    None when the pass does not reach every vertex.
     """
     n = len(adj)
     degree = adj[0].bit_count()
@@ -462,21 +442,19 @@ def _schreier_tree(adj: tuple[int, ...]):
         if image is not None:
             generators.append(image)
         rest ^= low
+    transversal: list = [None] * n
+    transversal[0] = list(range(n))
     reached = [0]
-    parent = [0] * n
-    via: list = [None] * n
-    seen = 1
     for v in reached:
+        t = transversal[v]
         for image in generators:
             w = image[v]
-            if not seen >> w & 1:
-                seen |= 1 << w
-                parent[w] = v
-                via[w] = image
+            if transversal[w] is None:
+                transversal[w] = [image[x] for x in t]
                 reached.append(w)
     if len(reached) < n:
         return None
-    return reached, parent, via
+    return transversal
 
 
 def _extend(adj: tuple[int, ...], order: list[int], u: int) -> list[int] | None:
@@ -484,13 +462,16 @@ def _extend(adj: tuple[int, ...], order: list[int], u: int) -> list[int] | None:
     dead end.
 
     The vertices are placed in `order`, breadth first from 0.  Each vertex w
-    takes the lowest unused neighbour of the image of its lowest placed
-    neighbour whose adjacency to the images placed so far is that of w to
+    takes the lowest unused neighbour x of the image of its lowest placed
+    neighbour p whose adjacency to the images placed so far is that of w to
     the vertices placed so far.  So the finished map is a bijection that
-    keeps every adjacency and non-adjacency: an automorphism.  There is no
-    backtracking: a vertex with no such image gives up, even when another
-    choice earlier would have led to an automorphism, and so does a vertex
-    with no placed neighbour, which starts another component.
+    keeps every adjacency and non-adjacency: an automorphism.  x must also
+    have as many common neighbours with p's image as w has with p, a count
+    every automorphism keeps, so the check turns away only images that no
+    extension to an automorphism could use.  There is no backtracking: a
+    vertex with no such image gives up, even when another choice earlier
+    would have led to an automorphism, and so does a vertex with no placed
+    neighbour, which starts another component.
     """
     image = [0] * len(adj)
     image[0] = u
@@ -500,7 +481,10 @@ def _extend(adj: tuple[int, ...], order: list[int], u: int) -> list[int] | None:
         rest = adj[w] & placed
         if not rest:
             return None
-        options = adj[image[(rest & -rest).bit_length() - 1]] & ~used
+        p = (rest & -rest).bit_length() - 1
+        anchor = adj[image[p]]
+        common = (adj[p] & adj[w]).bit_count()
+        options = anchor & ~used
         want = 0
         while rest:
             low = rest & -rest
@@ -508,7 +492,8 @@ def _extend(adj: tuple[int, ...], order: list[int], u: int) -> list[int] | None:
             rest ^= low
         while options:
             low = options & -options
-            if adj[low.bit_length() - 1] & used == want:
+            x = adj[low.bit_length() - 1]
+            if x & used == want and (x & anchor).bit_count() == common:
                 break
             options ^= low
         else:
@@ -519,22 +504,15 @@ def _extend(adj: tuple[int, ...], order: list[int], u: int) -> list[int] | None:
     return image
 
 
-def _mapped_sets(tree, through: list[tuple[int, ...]]) -> list:
+def _mapped_sets(transversal: list[list[int]], through: list[tuple[int, ...]]) -> list:
     """Every minimum set, once, from the minimum sets `through` vertex 0 and
-    the transversal `tree` of `_schreier_tree`: the image t_v(C) of each set
-    C for each vertex v, kept when v is its least vertex.  Each image is
-    mapped from its parent's in the tree, one generator per step."""
-    order, parent, via = tree
+    the transversal of `_schreier_tree`: the image t_v(C) of each set C for
+    each vertex v, kept when v is its least vertex."""
     found: list = []
-    images: list = [None] * len(order)
     for cover in through:
-        images[0] = cover
-        found.append(cover)
-        for w in order[1:]:
-            image = via[w]
-            mapped = [image[x] for x in images[parent[w]]]
-            images[w] = mapped
-            if min(mapped) == w:
+        for v, t in enumerate(transversal):
+            mapped = [t[x] for x in cover]
+            if min(mapped) == v:
                 found.append(mapped)
     return found
 

@@ -493,28 +493,21 @@ def _canonical_search(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[tuple[
 
 
 @functools.lru_cache(maxsize=200_000)
-def _canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
-    """The word of `_canonical_search`, cached.
+def canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
+    """`canonical_form` of the graph on vertices 0..n-1 with neighbour masks
+    `adj`, for callers that hold the masks without a `Graph`.  The masks are
+    taken as they are: symmetric, loop-free and inside the vertex range.
 
-    `canonical_form` and `canonical_word` read it, and through them the
-    witness scan, `_Records` and the forms a `classify_connected` walk gives
-    its unlabellable and undecided graphs; the witness scan and `_Records`
+    The word of `_canonical_search`, cached: the witness scan and `_Records`
     meet the same masks again.  The enumeration (`classify._connected_words`)
     calls the search itself: no child is built twice, so its entries would
     only push out the others (at n <= 9 they filled all 200,000).
     """
-    return _canonical_search(n, adj)[0]
-
-
-def canonical_word(n: int, adj: tuple[int, ...]) -> bytes:
-    """`canonical_form` of the graph on vertices 0..n-1 with neighbour masks
-    `adj`, for callers that hold the masks without a `Graph`.  The masks are
-    taken as they are: symmetric, loop-free and inside the vertex range."""
     if n > CANONICAL_FORM_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"canonical form supports at most {CANONICAL_FORM_MAX_VERTICES} vertices, got {n}"
         )
-    return _canonical_word(n, adj)
+    return _canonical_search(n, adj)[0]
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -312,7 +312,7 @@ def _reference_sets(g, d, node_limit=DEFAULT_NODE_LIMIT):
     adj, order = _searched(g)
     everything = (1 << g.n) - 1
     balls = distance_balls(g._replace(adj=adj), d)
-    found = _minimum_covers(balls, everything, everything, node_limit)
+    found = _minimum_covers(balls, everything, node_limit)
     return tuple(frozenset(c) for c in sorted(tuple(sorted(order[i] for i in c)) for c in found))
 
 
@@ -369,8 +369,9 @@ class TestVertexTransitive:
             for d in (1, 2, 3):
                 assert min_dominating_sets(h, d).min_sets == _reference_sets(h, d)
         # the greedy extension depends on the numbering; each of these graphs
-        # is searched through one vertex under at least one relabelling
-        assert mapped >= 1
+        # is searched through one vertex under at least one relabelling, and
+        # C_11(1,2), on which it once dead-ended under one of them, under all
+        assert mapped == 3 if g.n == 11 else mapped >= 1
 
     @pytest.mark.parametrize(
         "g",
@@ -398,42 +399,32 @@ class TestVertexTransitive:
     )
     def test_transversal_is_made_of_automorphisms(self, g):
         adj = _relabelled(g, 5).adj
-        order, parent, via = _schreier_tree(adj)
-        assert sorted(order) == list(range(g.n))
-        transversal = {0: list(range(g.n))}
-        for w in order[1:]:
-            image = via[w]
-            transversal[w] = [image[x] for x in transversal[parent[w]]]
-        for v, t in transversal.items():
+        transversal = _schreier_tree(adj)
+        assert len(transversal) == g.n
+        for v, t in enumerate(transversal):
             assert t[0] == v and sorted(t) == list(range(g.n))
             mapped = [sum(1 << t[u] for u in range(g.n) if adj[x] >> u & 1) for x in range(g.n)]
             assert mapped == [adj[t[x]] for x in range(g.n)]
 
     def test_covers_of_part_of_the_vertices(self):
-        # the kernel covers a universe from a set of candidates; brute force
-        # over every subset of the candidates is the reference
+        # the kernel covers a universe from every vertex; brute force over
+        # every subset of the vertices is the reference
         rng = random.Random(37)
-        checked = 0
-        while checked < 60:
+        for _ in range(60):
             g = random_graph(rng, rng.randint(2, 9), rng.choice([0.2, 0.4, 0.6]))
             d = rng.randint(1, 2)
             balls = distance_balls(g, d)
             universe = rng.getrandbits(g.n)
-            candidates = rng.getrandbits(g.n)
-            if any(universe >> u & 1 and not balls[u] & candidates for u in range(g.n)):
-                continue
-            picks = [v for v in range(g.n) if candidates >> v & 1]
             expected = None
-            for size in range(len(picks) + 1):
+            for size in range(g.n + 1):
                 expected = {
-                    c for c in itertools.combinations(picks, size)
+                    c for c in itertools.combinations(range(g.n), size)
                     if universe & ~functools.reduce(operator.or_, (balls[v] for v in c), 0) == 0
                 }
                 if expected:
                     break
-            found = _minimum_covers(balls, universe, candidates, DEFAULT_NODE_LIMIT)
+            found = _minimum_covers(balls, universe, DEFAULT_NODE_LIMIT)
             assert sorted(tuple(sorted(c)) for c in found) == sorted(expected)
-            checked += 1
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -620,14 +611,16 @@ def test_node_counts_pinned_up_to_six_vertices():
     # less one root visit per size below the root bound and less those
     # visits.  The sum fell from 567 to 539 when vertex-transitive graphs
     # came to be searched through vertex 0: each regular graph here but
-    # prism(3), on which the greedy extension reaches a dead end, now
-    # finishes under a limit of one node at d = 1 and 2
+    # prism(3), on which the greedy extension reached a dead end, then
+    # finished under a limit of one node at d = 1 and 2.  It fell to 534
+    # when the extension came to compare common-neighbour counts: prism(3)
+    # ('ELv_') at d = 1 went from 6 nodes over every vertex to 1 through 0
     counts = tuple(
         _search_nodes(g, d) for n in range(1, 7) for g in enumerate_connected_graphs(n) for d in (1, 2)
     )
-    assert sum(counts) == 539
+    assert sum(counts) == 534
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()
-    assert digest == "7b0af402fa205826f28b0dd743111bd1ab632d9ab5b208deed5cc565fd500616"
+    assert digest == "b79ee0d8964942842b5fa943c714a7a7d51b783a66d4fb753478fbd0b0afffe9"
 
 
 def test_seven_by_seven_grid_within_a_small_budget():
